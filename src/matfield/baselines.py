@@ -11,11 +11,25 @@ losing to it.
 Gradients are conjugate (Wirtinger) gradients d objective / d conj(X); a
 descent step is X - eta * grad.  All objective/gradient callables accept a
 (batch, rows, cols) stack and return (batch,) or a same-shaped stack.
+
+Objective and gradient share their per-row intermediates: with
+``with_state=True`` the objective also returns a tuple of stacks (state)
+that ``gradient(x, state)`` takes instead of rebuilding them -- the Gram
+``m`` for the trace problem, ``(phi, psi)`` for log-det, ``(t, b)`` for the
+relay sum-MSE and ``(t, b, psi)`` for the relay log-det.  Each state entry
+has one row per candidate, so a row mask selects the state of a subset.
+
+Projected-gradient refinement works on its live starts only.  It keeps an
+index array of the starts whose step has not fallen below its floor,
+projects and scores only those, hands each accepted candidate's state to
+the gradient, and drops a start for good once its step underflows (a
+frozen start could never be accepted again).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -32,7 +46,12 @@ _POWER_FLOOR = 1e-300
 
 @dataclass(frozen=True, eq=False)
 class SearchProblem:
-    """Minimization problem over complex matrices with a quadratic power cap."""
+    """Minimization problem over complex matrices with a quadratic power cap.
+
+    ``objective(x, with_state=False)`` returns the values, or ``(values,
+    state)`` with the per-row intermediates; ``gradient(x, state=None)``
+    reuses a state for the same rows of ``x`` when one is given.
+    """
 
     shape: tuple
     power: float
@@ -55,10 +74,23 @@ def _stack_trace_product(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("ij,sij->s", w.conj(), x)
 
 
+def _frobenius_power(x: np.ndarray, shape) -> np.ndarray:
+    """||X||_F^2 for each stack member (the precoder power)."""
+    f = _as_stack(x, shape)
+    return np.sum(np.abs(f) ** 2, axis=(1, 2))
+
+
+def _relay_power(x: np.ndarray, shape, c1: np.ndarray) -> np.ndarray:
+    """Tr(P C1 P^H) for each stack member (the relay transmit power)."""
+    p = _as_stack(x, shape)
+    return np.real(np.einsum("sij,sij->s", np.conj(p), p @ c1))
+
+
 def trace_problem(model: SystemModel, op: WeightingOperator) -> SearchProblem:
-    """Tr Psi(F) as a batched function of the precoder F."""
+    """Tr Psi(F) as a batched function of the precoder F; state is (m,)."""
     if op.n_streams != model.n_streams:
         raise ShapeError("operator and model stream counts differ")
+    shape = (model.n_tx, model.n_streams)
     h = model.channel
     k_gram = symmetrize(h.conj().T @ np.linalg.solve(model.noise_cov, h))
     eye = np.eye(model.n_streams, dtype=np.complex128)
@@ -68,38 +100,38 @@ def trace_problem(model: SystemModel, op: WeightingOperator) -> SearchProblem:
         w_gram = w_gram + w @ w.conj().T
     w_gram = symmetrize(w_gram)
 
-    def objective(x):
-        f = _as_stack(x, (model.n_tx, model.n_streams))
-        m = symmetrize(np.conj(np.swapaxes(f, 1, 2)) @ (k_gram @ f) + eye)
+    def _gram(f):
+        return symmetrize(np.conj(np.swapaxes(f, 1, 2)) @ (k_gram @ f) + eye)
+
+    def objective(x, with_state=False):
+        f = _as_stack(x, shape)
+        m = _gram(f)
         total = np.full(f.shape[0], pi_tr, dtype=np.float64)
         for w in op.weights:
             sol = np.linalg.solve(m, np.broadcast_to(w, (f.shape[0],) + w.shape))
             total = total + np.real(_stack_trace_product(w, sol))
-        return total
+        return (total, (m,)) if with_state else total
 
-    def gradient(x):
-        f = _as_stack(x, (model.n_tx, model.n_streams))
-        m = symmetrize(np.conj(np.swapaxes(f, 1, 2)) @ (k_gram @ f) + eye)
+    def gradient(x, state=None):
+        f = _as_stack(x, shape)
+        m = _gram(f) if state is None else state[0]
         phi = np.linalg.inv(m)
         return -(k_gram @ f) @ phi @ w_gram @ phi
 
-    def power_of(x):
-        f = _as_stack(x, (model.n_tx, model.n_streams))
-        return np.sum(np.abs(f) ** 2, axis=(1, 2))
-
     return SearchProblem(
-        shape=(model.n_tx, model.n_streams),
+        shape=shape,
         power=model.power,
         objective=objective,
-        power_of=power_of,
+        power_of=partial(_frobenius_power, shape=shape),
         gradient=gradient,
     )
 
 
 def logdet_problem(model: SystemModel, op: WeightingOperator) -> SearchProblem:
-    """log det Psi(F) as a batched function of the precoder F."""
+    """log det Psi(F) as a batched function of the precoder F; state is (phi, psi)."""
     if op.n_streams != model.n_streams:
         raise ShapeError("operator and model stream counts differ")
+    shape = (model.n_tx, model.n_streams)
     h = model.channel
     k_gram = symmetrize(h.conj().T @ np.linalg.solve(model.noise_cov, h))
     eye = np.eye(model.n_streams, dtype=np.complex128)
@@ -112,31 +144,27 @@ def logdet_problem(model: SystemModel, op: WeightingOperator) -> SearchProblem:
             psi = psi + np.conj(w.T) @ phi @ w
         return phi, symmetrize(psi)
 
-    def objective(x):
-        f = _as_stack(x, (model.n_tx, model.n_streams))
-        _, psi = _psi(f)
+    def objective(x, with_state=False):
+        f = _as_stack(x, shape)
+        phi, psi = _psi(f)
         sign, ld = np.linalg.slogdet(psi)
         out = np.where(np.real(sign) > 0.0, ld, np.inf)
-        return out
+        return (out, (phi, psi)) if with_state else out
 
-    def gradient(x):
-        f = _as_stack(x, (model.n_tx, model.n_streams))
-        phi, psi = _psi(f)
+    def gradient(x, state=None):
+        f = _as_stack(x, shape)
+        phi, psi = _psi(f) if state is None else state
         psi_inv = np.linalg.inv(psi)
         mid = np.zeros_like(phi)
         for w in op.weights:
             mid = mid + w @ psi_inv @ np.conj(w.T)
         return -(k_gram @ f) @ phi @ mid @ phi
 
-    def power_of(x):
-        f = _as_stack(x, (model.n_tx, model.n_streams))
-        return np.sum(np.abs(f) ** 2, axis=(1, 2))
-
     return SearchProblem(
-        shape=(model.n_tx, model.n_streams),
+        shape=shape,
         power=model.power,
         objective=objective,
-        power_of=power_of,
+        power_of=partial(_frobenius_power, shape=shape),
         gradient=gradient,
     )
 
@@ -148,83 +176,83 @@ def _relay_parts(model: RelayModel):
     return c1, s_map, q_gram
 
 
+def _relay_bracket(model: RelayModel, c1: np.ndarray, p: np.ndarray):
+    """T = H2 P and B = T C1 T^H + R_n2 for each stack member."""
+    t = model.channel2 @ p
+    b = symmetrize(t @ c1 @ np.conj(np.swapaxes(t, 1, 2)) + model.noise2_cov)
+    return t, b
+
+
 def relay_mse_problem(model: RelayModel) -> SearchProblem:
-    """Tr Psi(P) through the relay chain as a batched function of P."""
+    """Tr Psi(P) through the relay chain as a batched function of P; state is (t, b)."""
     c1, s_map, q_gram = _relay_parts(model)
+    shape = (model.n_relay_tx, model.n_relay_rx)
     h2 = model.channel2
     rs_tr = float(np.real(np.trace(model.source_cov)))
 
-    def _bracket(p):
-        t = h2 @ p
-        b = symmetrize(t @ c1 @ np.conj(np.swapaxes(t, 1, 2)) + model.noise2_cov)
-        return t, b
-
-    def objective(x):
-        p = _as_stack(x, (model.n_relay_tx, model.n_relay_rx))
-        t, b = _bracket(p)
+    def objective(x, with_state=False):
+        p = _as_stack(x, shape)
+        t, b = _relay_bracket(model, c1, p)
         a2 = t @ s_map
         sol = np.linalg.solve(b, a2)
-        return rs_tr - np.real(np.einsum("sij,sij->s", np.conj(a2), sol))
+        out = rs_tr - np.real(np.einsum("sij,sij->s", np.conj(a2), sol))
+        return (out, (t, b)) if with_state else out
 
-    def gradient(x):
-        p = _as_stack(x, (model.n_relay_tx, model.n_relay_rx))
-        t, b = _bracket(p)
+    def gradient(x, state=None):
+        p = _as_stack(x, shape)
+        t, b = _relay_bracket(model, c1, p) if state is None else state
         z = np.linalg.solve(b, t)
         zq = z @ q_gram
         grad_t = zq @ np.conj(np.swapaxes(t, 1, 2)) @ z @ c1 - zq
         return np.conj(h2.T) @ grad_t
 
-    def power_of(x):
-        p = _as_stack(x, (model.n_relay_tx, model.n_relay_rx))
-        return np.real(np.einsum("sij,sij->s", np.conj(p), p @ c1))
-
     return SearchProblem(
-        shape=(model.n_relay_tx, model.n_relay_rx),
+        shape=shape,
         power=model.power,
         objective=objective,
-        power_of=power_of,
+        power_of=partial(_relay_power, shape=shape, c1=c1),
         gradient=gradient,
     )
 
 
 def relay_logdet_problem(model: RelayModel) -> SearchProblem:
-    """log det Psi(P) through the relay chain (capacity = log det R_s - this)."""
+    """log det Psi(P) through the relay chain (capacity = log det R_s - this).
+
+    The state is (t, b, psi).
+    """
     c1, s_map, _ = _relay_parts(model)
+    shape = (model.n_relay_tx, model.n_relay_rx)
     h2 = model.channel2
     rs = model.source_cov
 
     def _psi(p):
-        t = h2 @ p
-        b = symmetrize(t @ c1 @ np.conj(np.swapaxes(t, 1, 2)) + model.noise2_cov)
+        t, b = _relay_bracket(model, c1, p)
         a2 = t @ s_map
         sol = np.linalg.solve(b, a2)
         psi = rs - np.conj(np.swapaxes(a2, 1, 2)) @ sol
         return t, b, symmetrize(psi)
 
-    def objective(x):
-        p = _as_stack(x, (model.n_relay_tx, model.n_relay_rx))
-        _, _, psi = _psi(p)
-        sign, ld = np.linalg.slogdet(psi)
-        return np.where(np.real(sign) > 0.0, ld, np.inf)
-
-    def gradient(x):
-        p = _as_stack(x, (model.n_relay_tx, model.n_relay_rx))
+    def objective(x, with_state=False):
+        p = _as_stack(x, shape)
         t, b, psi = _psi(p)
+        sign, ld = np.linalg.slogdet(psi)
+        out = np.where(np.real(sign) > 0.0, ld, np.inf)
+        return (out, (t, b, psi)) if with_state else out
+
+    def gradient(x, state=None):
+        p = _as_stack(x, shape)
+        t, b, psi = _psi(p) if state is None else state
         z = np.linalg.solve(b, t)
         mid = s_map @ np.linalg.inv(psi) @ np.conj(s_map.T)
         zm = z @ mid
         grad_t = zm @ np.conj(np.swapaxes(t, 1, 2)) @ z @ c1 - zm
         return np.conj(h2.T) @ grad_t
 
-    def power_of(x):
-        p = _as_stack(x, (model.n_relay_tx, model.n_relay_rx))
-        return np.real(np.einsum("sij,sij->s", np.conj(p), p @ c1))
-
     return SearchProblem(
-        shape=(model.n_relay_tx, model.n_relay_rx),
+        shape=shape,
         power=model.power,
         objective=objective,
-        power_of=power_of,
+        power_of=partial(_relay_power, shape=shape, c1=c1),
         gradient=gradient,
     )
 
@@ -251,32 +279,35 @@ def projected_gradient_descent(
 
     Per start: step size doubles after an accepted move and halves on a
     rejected one; a start freezes once its step underflows.  Projection is
-    power rescale onto the feasible set.  Returns (values, points).
+    power rescale onto the feasible set.  Each iteration scores only the
+    live (unfrozen) starts, and the gradient at an accepted candidate reuses
+    the state its objective evaluation built.  Returns (values, points).
     """
     if problem.gradient is None:
         raise ShapeError("problem has no gradient; cannot refine")
     x = _project_to_budget(problem, np.array(starts, dtype=np.complex128))
-    f = problem.objective(x)
-    g = problem.gradient(x)
+    f, state = problem.objective(x, with_state=True)
+    g = problem.gradient(x, state)
     gnorm = np.sqrt(np.sum(np.abs(g) ** 2, axis=(1, 2)))
     xnorm = np.sqrt(np.sum(np.abs(x) ** 2, axis=(1, 2)))
     eta = 0.25 * np.maximum(xnorm, np.sqrt(problem.power)) / np.maximum(gnorm, 1e-12)
     eta_floor = 1e-14 * np.maximum(eta, 1e-12)
-    active = np.ones(x.shape[0], dtype=bool)
+    live = np.arange(x.shape[0])
     for _ in range(max_iter):
-        if not np.any(active):
+        if live.size == 0:
             break
-        cand = _project_to_budget(problem, x - eta[:, None, None] * g)
-        fc = problem.objective(cand)
-        improved = active & (fc < f)
-        x[improved] = cand[improved]
-        f[improved] = fc[improved]
-        eta[improved] *= 2.0
-        rejected = active & ~improved
-        eta[rejected] *= 0.5
-        active = eta > eta_floor
-        if np.any(improved):
-            g[improved] = problem.gradient(x[improved])
+        cand = _project_to_budget(problem, x[live] - eta[live, None, None] * g[live])
+        fc, state = problem.objective(cand, with_state=True)
+        improved = fc < f[live]
+        accepted = live[improved]
+        moved = cand[improved]
+        x[accepted] = moved
+        f[accepted] = fc[improved]
+        eta[accepted] *= 2.0
+        eta[live[~improved]] *= 0.5
+        if accepted.size:
+            g[accepted] = problem.gradient(moved, tuple(s[improved] for s in state))
+        live = live[eta[live] > eta_floor[live]]
     return f, x
 
 

@@ -117,3 +117,39 @@ def end_to_end_error_cov(model, forwarding):
     info = np.linalg.inv(model.source_cov) + a.conj().T @ np.linalg.inv(c) @ a
     err = np.linalg.inv(info)
     return 0.5 * (err + err.conj().T)
+
+
+def _project_reference(problem, x):
+    p = np.maximum(problem.power_of(x), 1e-300)
+    return x * np.minimum(1.0, np.sqrt(problem.power / p))[:, None, None]
+
+
+def masked_pgd_reference(problem, starts, max_iter=500):
+    """Projected-gradient refinement as first written: a boolean mask of
+    active starts, every start scored on every iteration, and each accepted
+    point's gradient computed afresh from the point alone.  The library's
+    live-set version must return bitwise the same (values, points).
+    """
+    x = _project_reference(problem, np.array(starts, dtype=np.complex128))
+    f = problem.objective(x)
+    g = problem.gradient(x)
+    gnorm = np.sqrt(np.sum(np.abs(g) ** 2, axis=(1, 2)))
+    xnorm = np.sqrt(np.sum(np.abs(x) ** 2, axis=(1, 2)))
+    eta = 0.25 * np.maximum(xnorm, np.sqrt(problem.power)) / np.maximum(gnorm, 1e-12)
+    eta_floor = 1e-14 * np.maximum(eta, 1e-12)
+    active = np.ones(x.shape[0], dtype=bool)
+    for _ in range(max_iter):
+        if not np.any(active):
+            break
+        cand = _project_reference(problem, x - eta[:, None, None] * g)
+        fc = problem.objective(cand)
+        improved = active & (fc < f)
+        x[improved] = cand[improved]
+        f[improved] = fc[improved]
+        eta[improved] *= 2.0
+        rejected = active & ~improved
+        eta[rejected] *= 0.5
+        active = eta > eta_floor
+        if np.any(improved):
+            g[improved] = problem.gradient(x[improved])
+    return f, x

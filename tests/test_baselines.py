@@ -1,4 +1,7 @@
+import dataclasses
+
 import numpy as np
+import pytest
 
 from matfield import design_relay_sum_mse, design_trace_min, design_det_min
 from matfield.baselines import (
@@ -106,3 +109,43 @@ def test_relay_oracle_agrees_with_design_value():
     _, obj, _ = design_relay_sum_mse(r)
     found = random_search_oracle(relay_mse_problem(r), budget=1000, seed=4, refinements=20)
     assert found >= obj - 1e-6
+
+
+def _feasible_starts(problem, gen, count):
+    starts = np.stack([helpers.crandn(gen, *problem.shape) for _ in range(count)])
+    return starts * np.sqrt(problem.power / problem.power_of(starts))[:, None, None]
+
+
+@pytest.mark.parametrize("max_iter", [100, 500])
+def test_live_set_descent_matches_masked_reference_bitwise(max_iter):
+    gen = helpers.rng(10)
+    for problem in all_problems(11):
+        # fresh starts plus refined ones, which freeze within max_iter
+        _, converged = helpers.masked_pgd_reference(problem, _feasible_starts(problem, gen, 4))
+        starts = np.concatenate([_feasible_starts(problem, gen, 8), converged])
+        scored = []
+
+        def counting_objective(x, **kwargs):
+            scored.append(x.shape[0])
+            return problem.objective(x, **kwargs)
+
+        counted = dataclasses.replace(problem, objective=counting_objective)
+        values, points = projected_gradient_descent(counted, starts, max_iter=max_iter)
+        want_values, want_points = helpers.masked_pgd_reference(problem, starts, max_iter=max_iter)
+        assert np.array_equal(values, want_values)
+        assert np.array_equal(points, want_points)
+        # the first call scores the starts; each later one is an iteration
+        iterations = len(scored) - 1
+        assert sum(scored[1:]) < iterations * starts.shape[0]
+
+
+def test_gradient_from_objective_state_is_exact():
+    gen = helpers.rng(12)
+    for problem in all_problems(13):
+        x = _feasible_starts(problem, gen, 6)
+        values, state = problem.objective(x, with_state=True)
+        assert np.array_equal(values, problem.objective(x))
+        assert np.array_equal(problem.gradient(x, state), problem.gradient(x))
+        mask = np.array([True, False, True, True, False, True])
+        sliced = tuple(s[mask] for s in state)
+        assert np.array_equal(problem.gradient(x[mask], sliced), problem.gradient(x[mask]))

@@ -90,6 +90,29 @@ def test_reports_are_deterministic_modulo_walltime():
     assert a == b
 
 
+# Oracle values of one seed-0 trial at the default config, pinned at full
+# precision (numpy 2.4 with OpenBLAS 0.3.31, x86-64).  Any change to the
+# oracle's sampling, its refinement or the order of its arithmetic shows
+# here; a different BLAS build may also move the last digits.
+GOLDEN_ORACLE = {
+    "design-trace": [(4.817040411704237, 2.3296919948734285e-12)],
+    "design-det": [(1.4147404404640478, 7.879696894974586e-12)],
+    "relay-mse": [(1.8744069520422357, 0.004861174341010077)],
+    "relay-capacity": [(1.4360262679335998, 0.0024388587673509488)],
+    "oracle-compare": [
+        (4.817040411704237, 2.3296919948734285e-12),
+        (1.4147404404640478, 7.879696894974586e-12),
+    ],
+}
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN_ORACLE))
+def test_oracle_values_match_golden(mode):
+    records = run(build_config({"trials": 1, "seed": 0}, mode=mode))["trials"]
+    got = [(r["objective_oracle_best"], r["gap"]) for r in records]
+    assert got == GOLDEN_ORACLE[mode]
+
+
 def test_design_trace_records_have_expected_fields():
     cfg = build_config({"trials": 2, "budget": 100, "seed": 3}, mode="design-trace")
     rec = run(cfg)["trials"][0]
