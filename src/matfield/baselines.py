@@ -12,12 +12,28 @@ Gradients are conjugate (Wirtinger) gradients d objective / d conj(X); a
 descent step is X - eta * grad.  All objective/gradient callables accept a
 (batch, rows, cols) stack and return (batch,) or a same-shaped stack.
 
+Every product of the stack with a fixed matrix is one GEMM over the whole
+stack: the stack is reshaped to (batch * rows, cols) and multiplied from
+the right (``_right``), or transposed first for a product from the left
+(``_left``).  The fixed matrices are K = H^H R_n^{-1} H, W_gram = sum_k
+W_k W_k^H, H2, C1, S = H1 R_s and Q = S S^H.  The congruences Phi -> sum_k
+W_k^H Phi W_k and G -> S^H G S are linear, so each is one GEMM of the
+row-major vec of every member with sum_k kron(conj A_k, A_k)
+(``_congruence``); the conjugate transpose of that matrix is the adjoint
+map the gradients need.  Only products of two candidate-dependent
+matrices and one inverse or solve per Hermitian matrix are made matrix by
+matrix.  numpy multiplies a one-row operand through gemv or dot instead of
+gemm, so a row scored alone may differ in the last bits from the same row
+scored in a larger batch.
+
 Objective and gradient share their per-row intermediates: with
 ``with_state=True`` the objective also returns a tuple of stacks (state)
-that ``gradient(x, state)`` takes instead of rebuilding them -- the Gram
-``m`` for the trace problem, ``(phi, psi)`` for log-det, ``(t, b)`` for the
-relay sum-MSE and ``(t, b, psi)`` for the relay log-det.  Each state entry
-has one row per candidate, so a row mask selects the state of a subset.
+that ``gradient(x, state)`` takes instead of rebuilding them -- ``(kf,
+phi)`` for the trace problem and ``(kf, phi, psi)`` for log-det, with
+K F and Phi = (F^H K F + I)^{-1}; ``(t, z)`` for the relay sum-MSE and
+``(z, g, psi)`` for the relay log-det, with T = H2 P, Z = B^{-1} T for the
+bracket B = T C1 T^H + R_n2, and G = T^H Z.  Each state entry has one row
+per candidate, so a row mask selects the state of a subset.
 
 Projected-gradient refinement works on its live starts only.  It keeps an
 index array of the starts whose step has not fallen below its floor,
@@ -69,54 +85,84 @@ def _as_stack(x: np.ndarray, shape) -> np.ndarray:
     return arr
 
 
-def _stack_trace_product(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # Tr(W^H X_s) for each stack member
-    return np.einsum("ij,sij->s", w.conj(), x)
+def _right(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """X_s A for every stack member, as one GEMM over the stacked rows."""
+    return (x.reshape(-1, x.shape[-1]) @ a).reshape(x.shape[:-1] + (a.shape[-1],))
+
+
+def _left(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A X_s for every stack member, as one GEMM: (X_s^T A^T)^T."""
+    return np.swapaxes(_right(np.swapaxes(x, 1, 2), a.T), 1, 2)
+
+
+def _ct(x: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of every stack member."""
+    return np.conj(np.swapaxes(x, 1, 2))
+
+
+def _congruence(factors) -> np.ndarray:
+    """Matrix of X -> sum_k A_k^H X A_k acting on row-major vec(X).
+
+    ``_vec_map`` applies it to a stack as one GEMM; its conjugate transpose
+    is the matrix of the adjoint map Y -> sum_k A_k Y A_k^H.
+    """
+    return sum(np.kron(np.conj(a), a) for a in factors)
+
+
+def _vec_map(x: np.ndarray, mat: np.ndarray, n: int) -> np.ndarray:
+    """Apply a linear map on row-major vec(X_s) to every stack member; n x n out."""
+    return (x.reshape(x.shape[0], -1) @ mat).reshape(x.shape[0], n, n)
+
+
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re Tr(A_s^H B_s) for each pair of stack members."""
+    return np.vecdot(a.reshape(a.shape[0], -1), b.reshape(b.shape[0], -1)).real
 
 
 def _frobenius_power(x: np.ndarray, shape) -> np.ndarray:
     """||X||_F^2 for each stack member (the precoder power)."""
     f = _as_stack(x, shape)
-    return np.sum(np.abs(f) ** 2, axis=(1, 2))
+    return _inner(f, f)
 
 
 def _relay_power(x: np.ndarray, shape, c1: np.ndarray) -> np.ndarray:
     """Tr(P C1 P^H) for each stack member (the relay transmit power)."""
     p = _as_stack(x, shape)
-    return np.real(np.einsum("sij,sij->s", np.conj(p), p @ c1))
+    return _inner(p, _right(p, c1))
 
 
-def trace_problem(model: SystemModel, op: WeightingOperator) -> SearchProblem:
-    """Tr Psi(F) as a batched function of the precoder F; state is (m,)."""
+def _precoder_parts(model: SystemModel, op: WeightingOperator):
+    """Shape of F and the batched map F -> (K F, Phi = (F^H K F + I)^{-1})."""
     if op.n_streams != model.n_streams:
         raise ShapeError("operator and model stream counts differ")
-    shape = (model.n_tx, model.n_streams)
     h = model.channel
     k_gram = symmetrize(h.conj().T @ np.linalg.solve(model.noise_cov, h))
     eye = np.eye(model.n_streams, dtype=np.complex128)
-    pi_tr = float(np.real(np.trace(op.offset)))
-    w_gram = np.zeros((model.n_streams, model.n_streams), dtype=np.complex128)
-    for w in op.weights:
-        w_gram = w_gram + w @ w.conj().T
-    w_gram = symmetrize(w_gram)
 
-    def _gram(f):
-        return symmetrize(np.conj(np.swapaxes(f, 1, 2)) @ (k_gram @ f) + eye)
+    def lmmse(f):
+        kf = _left(k_gram, f)
+        return kf, np.linalg.inv(_ct(f) @ kf + eye)
+
+    return (model.n_tx, model.n_streams), lmmse
+
+
+def trace_problem(model: SystemModel, op: WeightingOperator) -> SearchProblem:
+    """Tr Psi(F) = Tr(W_gram Phi) + Tr Pi as a batched function of the precoder F."""
+    shape, lmmse = _precoder_parts(model, op)
+    pi_tr = float(np.real(np.trace(op.offset)))
+    w_gram = symmetrize(sum(w @ w.conj().T for w in op.weights))
+    w_vec = w_gram.reshape(-1)
 
     def objective(x, with_state=False):
         f = _as_stack(x, shape)
-        m = _gram(f)
-        total = np.full(f.shape[0], pi_tr, dtype=np.float64)
-        for w in op.weights:
-            sol = np.linalg.solve(m, np.broadcast_to(w, (f.shape[0],) + w.shape))
-            total = total + np.real(_stack_trace_product(w, sol))
-        return (total, (m,)) if with_state else total
+        kf, phi = lmmse(f)
+        # Tr(W_gram Phi) = <W_gram, Phi>_F, as W_gram is Hermitian
+        out = pi_tr + np.real(np.vecdot(w_vec, phi.reshape(f.shape[0], -1)))
+        return (out, (kf, phi)) if with_state else out
 
     def gradient(x, state=None):
-        f = _as_stack(x, shape)
-        m = _gram(f) if state is None else state[0]
-        phi = np.linalg.inv(m)
-        return -(k_gram @ f) @ phi @ w_gram @ phi
+        kf, phi = lmmse(_as_stack(x, shape)) if state is None else state
+        return -(_right(kf @ phi, w_gram) @ phi)
 
     return SearchProblem(
         shape=shape,
@@ -128,37 +174,26 @@ def trace_problem(model: SystemModel, op: WeightingOperator) -> SearchProblem:
 
 
 def logdet_problem(model: SystemModel, op: WeightingOperator) -> SearchProblem:
-    """log det Psi(F) as a batched function of the precoder F; state is (phi, psi)."""
-    if op.n_streams != model.n_streams:
-        raise ShapeError("operator and model stream counts differ")
-    shape = (model.n_tx, model.n_streams)
-    h = model.channel
-    k_gram = symmetrize(h.conj().T @ np.linalg.solve(model.noise_cov, h))
-    eye = np.eye(model.n_streams, dtype=np.complex128)
-
-    def _psi(f):
-        m = symmetrize(np.conj(np.swapaxes(f, 1, 2)) @ (k_gram @ f) + eye)
-        phi = np.linalg.inv(m)
-        psi = np.broadcast_to(op.offset, (f.shape[0],) + op.offset.shape).copy()
-        for w in op.weights:
-            psi = psi + np.conj(w.T) @ phi @ w
-        return phi, symmetrize(psi)
+    """log det Psi(F) as a batched function of the precoder F."""
+    shape, lmmse = _precoder_parts(model, op)
+    weigh = _congruence(op.weights)
+    weigh_adj = np.ascontiguousarray(weigh.conj().T)
 
     def objective(x, with_state=False):
         f = _as_stack(x, shape)
-        phi, psi = _psi(f)
+        kf, phi = lmmse(f)
+        psi = _vec_map(phi, weigh, op.out_dim) + op.offset
         sign, ld = np.linalg.slogdet(psi)
         out = np.where(np.real(sign) > 0.0, ld, np.inf)
-        return (out, (phi, psi)) if with_state else out
+        return (out, (kf, phi, psi)) if with_state else out
 
     def gradient(x, state=None):
-        f = _as_stack(x, shape)
-        phi, psi = _psi(f) if state is None else state
-        psi_inv = np.linalg.inv(psi)
-        mid = np.zeros_like(phi)
-        for w in op.weights:
-            mid = mid + w @ psi_inv @ np.conj(w.T)
-        return -(k_gram @ f) @ phi @ mid @ phi
+        if state is None:
+            _, state = objective(x, with_state=True)
+        kf, phi, psi = state
+        # sum_k W_k Psi^{-1} W_k^H
+        mid = _vec_map(np.linalg.inv(psi), weigh_adj, model.n_streams)
+        return -(kf @ phi @ mid @ phi)
 
     return SearchProblem(
         shape=shape,
@@ -170,47 +205,51 @@ def logdet_problem(model: SystemModel, op: WeightingOperator) -> SearchProblem:
 
 
 def _relay_parts(model: RelayModel):
+    """Shape of P, C1, S = H1 R_s, the batched map P -> (T, Z), and power_of."""
     c1 = first_hop_gram(model)
     s_map = model.channel1 @ model.source_cov  # n_relay_rx x n_src
-    q_gram = symmetrize(s_map @ np.conj(s_map.T))
-    return c1, s_map, q_gram
+    h2 = model.channel2
+
+    def chain(p):
+        t = _left(h2, p)
+        bracket = _right(t, c1) @ _ct(t) + model.noise2_cov
+        return t, np.linalg.solve(bracket, t)
+
+    shape = (model.n_relay_tx, model.n_relay_rx)
+    power_of = partial(_relay_power, shape=shape, c1=c1)
+    return shape, c1, s_map, chain, power_of
 
 
-def _relay_bracket(model: RelayModel, c1: np.ndarray, p: np.ndarray):
-    """T = H2 P and B = T C1 T^H + R_n2 for each stack member."""
-    t = model.channel2 @ p
-    b = symmetrize(t @ c1 @ np.conj(np.swapaxes(t, 1, 2)) + model.noise2_cov)
-    return t, b
+def _relay_gradient(model: RelayModel, c1: np.ndarray, zm: np.ndarray, g: np.ndarray):
+    """Gradient H2^H (ZM G C1 - ZM) of a relay objective in P.
+
+    ZM = Z M for the objective's middle factor M (Q for the sum-MSE,
+    S Psi^{-1} S^H for log-det) and G = T^H Z.
+    """
+    return _left(np.conj(model.channel2.T), _right(zm @ g, c1) - zm)
 
 
 def relay_mse_problem(model: RelayModel) -> SearchProblem:
-    """Tr Psi(P) through the relay chain as a batched function of P; state is (t, b)."""
-    c1, s_map, q_gram = _relay_parts(model)
-    shape = (model.n_relay_tx, model.n_relay_rx)
-    h2 = model.channel2
+    """Tr Psi(P) through the relay chain as a batched function of P."""
+    shape, c1, s_map, chain, power_of = _relay_parts(model)
+    q_gram = symmetrize(s_map @ np.conj(s_map.T))
     rs_tr = float(np.real(np.trace(model.source_cov)))
 
     def objective(x, with_state=False):
         p = _as_stack(x, shape)
-        t, b = _relay_bracket(model, c1, p)
-        a2 = t @ s_map
-        sol = np.linalg.solve(b, a2)
-        out = rs_tr - np.real(np.einsum("sij,sij->s", np.conj(a2), sol))
-        return (out, (t, b)) if with_state else out
+        t, z = chain(p)
+        out = rs_tr - _inner(t, _right(z, q_gram))  # Tr(S^H T^H B^{-1} T S)
+        return (out, (t, z)) if with_state else out
 
     def gradient(x, state=None):
-        p = _as_stack(x, shape)
-        t, b = _relay_bracket(model, c1, p) if state is None else state
-        z = np.linalg.solve(b, t)
-        zq = z @ q_gram
-        grad_t = zq @ np.conj(np.swapaxes(t, 1, 2)) @ z @ c1 - zq
-        return np.conj(h2.T) @ grad_t
+        t, z = chain(_as_stack(x, shape)) if state is None else state
+        return _relay_gradient(model, c1, _right(z, q_gram), _ct(t) @ z)
 
     return SearchProblem(
         shape=shape,
         power=model.power,
         objective=objective,
-        power_of=partial(_relay_power, shape=shape, c1=c1),
+        power_of=power_of,
         gradient=gradient,
     )
 
@@ -218,41 +257,33 @@ def relay_mse_problem(model: RelayModel) -> SearchProblem:
 def relay_logdet_problem(model: RelayModel) -> SearchProblem:
     """log det Psi(P) through the relay chain (capacity = log det R_s - this).
 
-    The state is (t, b, psi).
+    Psi = R_s - S^H G S with G = T^H B^{-1} T.
     """
-    c1, s_map, _ = _relay_parts(model)
-    shape = (model.n_relay_tx, model.n_relay_rx)
-    h2 = model.channel2
-    rs = model.source_cov
-
-    def _psi(p):
-        t, b = _relay_bracket(model, c1, p)
-        a2 = t @ s_map
-        sol = np.linalg.solve(b, a2)
-        psi = rs - np.conj(np.swapaxes(a2, 1, 2)) @ sol
-        return t, b, symmetrize(psi)
+    shape, c1, s_map, chain, power_of = _relay_parts(model)
+    fit = _congruence((s_map,))
+    fit_adj = np.ascontiguousarray(fit.conj().T)
 
     def objective(x, with_state=False):
-        p = _as_stack(x, shape)
-        t, b, psi = _psi(p)
+        t, z = chain(_as_stack(x, shape))
+        g = _ct(t) @ z
+        psi = model.source_cov - _vec_map(g, fit, model.n_src)
         sign, ld = np.linalg.slogdet(psi)
         out = np.where(np.real(sign) > 0.0, ld, np.inf)
-        return (out, (t, b, psi)) if with_state else out
+        return (out, (z, g, psi)) if with_state else out
 
     def gradient(x, state=None):
-        p = _as_stack(x, shape)
-        t, b, psi = _psi(p) if state is None else state
-        z = np.linalg.solve(b, t)
-        mid = s_map @ np.linalg.inv(psi) @ np.conj(s_map.T)
-        zm = z @ mid
-        grad_t = zm @ np.conj(np.swapaxes(t, 1, 2)) @ z @ c1 - zm
-        return np.conj(h2.T) @ grad_t
+        if state is None:
+            _, state = objective(x, with_state=True)
+        z, g, psi = state
+        # S Psi^{-1} S^H
+        mid = _vec_map(np.linalg.inv(psi), fit_adj, model.n_relay_rx)
+        return _relay_gradient(model, c1, z @ mid, g)
 
     return SearchProblem(
         shape=shape,
         power=model.power,
         objective=objective,
-        power_of=partial(_relay_power, shape=shape, c1=c1),
+        power_of=power_of,
         gradient=gradient,
     )
 

@@ -75,13 +75,17 @@ def main(argv=None) -> int:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     print(render_table(report))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(render_csv(report))
+    try:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                json.dump(report, fh, indent=2)
+                fh.write("\n")
+        if args.csv:
+            with open(args.csv, "w", encoding="utf-8") as fh:
+                fh.write(render_csv(report))
+    except OSError as exc:
+        print(f"config error: cannot write the report: {exc}", file=sys.stderr)
+        return 2
     return 0 if report["pass"] else 1
 
 

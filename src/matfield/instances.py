@@ -107,7 +107,8 @@ def matrix_from_json(obj, field: str) -> np.ndarray:
             if (
                 not isinstance(cell, (list, tuple))
                 or len(cell) != 2
-                or not all(isinstance(x, (int, float)) for x in cell)
+                # bool is an int subclass, but JSON true/false is no number
+                or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in cell)
             ):
                 raise ConfigError(f"{field}[{i}][{j}]: expected an [re, im] pair")
             vals.append(complex(float(cell[0]), float(cell[1])))

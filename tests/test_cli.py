@@ -72,6 +72,16 @@ def test_missing_config_exits_two(tmp_path, capsys):
     assert "nope.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--out", "--csv"])
+def test_unwritable_output_exits_two(tmp_path, capsys, flag):
+    target = tmp_path / "missing-dir" / "report"
+    assert main(["verify-inequalities", "--trials", "2", flag, str(target)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "Traceback" not in err
+    assert not target.exists()
+
+
 def test_malformed_json_exits_two(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text("{")

@@ -98,7 +98,7 @@ GOLDEN_ORACLE = {
     "design-trace": [(4.817040411704237, 2.3296919948734285e-12)],
     "design-det": [(1.4147404404640478, 7.879696894974586e-12)],
     "relay-mse": [(1.8744069520422357, 0.004861174341010077)],
-    "relay-capacity": [(1.4360262679335998, 0.0024388587673509488)],
+    "relay-capacity": [(1.4360262679335987, 0.002438858767352059)],
     "oracle-compare": [
         (4.817040411704237, 2.3296919948734285e-12),
         (1.4147404404640478, 7.879696894974586e-12),

@@ -91,6 +91,13 @@ def test_matrix_json_errors_name_the_field():
         matrix_from_json([[[1.0, 0.0], "no"]], "x")
 
 
+def test_matrix_json_rejects_booleans():
+    # bool subclasses int in Python; JSON true/false must not parse as 1/0
+    for cell in ([True, False], [1.0, False], [True, 0.0]):
+        with pytest.raises(ConfigError, match=r"x\[0\]\[0\]"):
+            matrix_from_json([[cell]], "x")
+
+
 def test_system_from_json():
     obj = {"H": matrix_to_json(np.eye(2)), "R_n": matrix_to_json(np.eye(2))}
     m = system_from_json(obj, 4.0)
