@@ -34,10 +34,8 @@ from .spectral import (
 )
 from .weighting import WeightingOperator, weighted_mse_of_precoder
 
-# water-filling bracket guard and termination (fixed, not configurable)
-_MU_FLOOR = 1e-300
-_WF_MAX_ITER = 200
-_WF_POWER_RTOL = 1e-10
+# the log-det solve stops once sum x is within this many ulps of the budget
+_WF_ULPS = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,39 +154,6 @@ def _check_waterfill_inputs(a, b, power: float) -> tuple[np.ndarray, np.ndarray]
     return av, bv
 
 
-def _bisect_water_level(alloc, power: float, mu_hi: float) -> tuple[np.ndarray, float]:
-    """Find mu with sum(alloc(mu)) = power by bisection on log(mu).
-
-    alloc(mu) must be elementwise nonincreasing in mu with alloc -> inf as
-    mu -> 0.  Terminates at |sum - power| <= 1e-10 * power or 200 iterations.
-    """
-    lo = mu_hi
-    with np.errstate(over="ignore", invalid="ignore"):
-        while np.sum(alloc(lo)) < power:
-            lo *= 0.5
-            if lo < _MU_FLOOR:
-                break
-        hi = mu_hi
-        best_mu = lo
-        best_gap = abs(float(np.sum(alloc(lo))) - power)
-        for _ in range(_WF_MAX_ITER):
-            mid = float(np.sqrt(lo * hi))
-            total = float(np.sum(alloc(mid)))
-            gap = abs(total - power)
-            if gap < best_gap:
-                best_gap, best_mu = gap, mid
-            if gap <= _WF_POWER_RTOL * power:
-                break
-            if total >= power:
-                lo = mid
-            else:
-                hi = mid
-            if not lo < hi:
-                break
-    x = np.asarray(alloc(best_mu), dtype=np.float64)
-    return x, best_mu
-
-
 def waterfill_trace(weight_eigs, channel_eigs, power: float) -> tuple[np.ndarray, float]:
     """Minimize sum_j a_j / (1 + b_j x_j) over x >= 0, sum x <= power.
 
@@ -196,22 +161,44 @@ def waterfill_trace(weight_eigs, channel_eigs, power: float) -> tuple[np.ndarray
     index.  Returns (x, mu) with x the per-mode squared amplitudes and mu the
     water-level dual variable; modes with a_j * b_j = 0 get x_j = 0.  When at
     least one product is positive the full budget is spent.
+
+    Closed form: with q_j = sqrt(a_j b_j) and r_j = sqrt(a_j / b_j), the
+    active modes satisfy 1 + b_j x_j = q_j / sqrt(mu), so over the active
+    set A
+
+        1 / sqrt(mu) = (P + sum_A 1 / b_j) / S,   S = sum_A r_j,
+
+    and A is the largest prefix (modes ordered by q_j) whose last mode still
+    gets x > 0.  Each allocation is evaluated as
+
+        x_j = (r_j / S) P + sum_{i in A} (q_j - q_i) / (b_i b_j) / S,
+
+    which avoids the cancellation (P + R) - R at small budgets: the pair
+    terms are exactly antisymmetric and a lone active mode gets x = P.
     """
     a, b = _check_waterfill_inputs(weight_eigs, channel_eigs, power)
     prod = a * b
-    if not np.any(prod > 0.0):
-        return np.zeros(a.size), 0.0
     active = prod > 0.0
+    if not np.any(active):
+        return np.zeros(a.size), 0.0
     b_act = b[active]
-    p_act = prod[active]
-
-    def alloc(mu):
-        return np.maximum(0.0, (np.sqrt(p_act / mu) - 1.0) / b_act)
-
-    x_act, mu = _bisect_water_level(alloc, power, float(p_act.max()))
+    q = np.sqrt(prod[active])
+    r = q / b_act
+    pair = (q[:, None] - q) / (b_act[:, None] * b_act)
+    # mode k is active together with modes 1..k-1 iff it gets x_k > 0
+    ok = r * power + np.tril(pair).sum(axis=1) > 0.0
+    n_on = ok.size if ok.all() else int(np.argmin(ok))
+    s = float(np.sum(r[:n_on]))
     x = np.zeros(a.size)
-    x[active] = x_act
-    return x, mu
+    x[np.flatnonzero(active)[:n_on]] = np.maximum(
+        0.0, r[:n_on] / s * power + pair[:n_on, :n_on].sum(axis=1) / s
+    )
+    return x, (s / (power + float(np.sum(1.0 / b_act[:n_on])))) ** 2
+
+
+def _t_minus_one(num, k, k2):
+    """Positive root u of u (u + k) = num >= 0, in conjugate form."""
+    return 2.0 * num / (k + np.sqrt(k2 + 4.0 * num))
 
 
 def waterfill_logdet(theta_eigs, channel_eigs, power: float) -> tuple[np.ndarray, float]:
@@ -219,26 +206,73 @@ def waterfill_logdet(theta_eigs, channel_eigs, power: float) -> tuple[np.ndarray
 
     Same conventions as waterfill_trace.  The stationarity condition per
     active mode is a_j b_j / (t_j (t_j + a_j)) = mu with t_j = 1 + b_j x_j,
-    solved in closed form by the positive root of t^2 + a t - a b / mu.
+    so with lam = 1 / mu each mode solves
+
+        t_j - 1 = (a_j b_j lam - 1 - a_j) / (t_j + 1 + a_j)
+
+    (taken as the conjugate-form positive root) and turns on at
+    lam_j = (1 + a_j) / (a_j b_j).  The active set is read off the total
+    allocation at each turn-on level: mode j is active iff it stays below
+    the budget.  With m the active mode that turns on last, the scalar solve
+    is in v with lam = lam_m + v^2, so every active numerator
+    a_j b_j (lam_m - lam_j) + a_j b_j v^2 is a sum of nonnegative terms, a
+    budget far below any mode's scale stays resolved, and sum x is smooth,
+    convex and increasing in v.  v is bracketed by 0 and the smaller of the
+    next turn-on level and the level at which mode m alone takes the budget;
+    Newton steps with dx_j / dlam = a_j / (2 t_j + a_j) start at the upper
+    end and so approach the root from above, and a step that leaves the
+    bracket bisects it instead.  The solve stops once sum x is within a few
+    ulps of the budget or the bracket holds no float strictly inside.
     """
     a, b = _check_waterfill_inputs(theta_eigs, channel_eigs, power)
     prod = a * b
-    if not np.any(prod > 0.0):
-        return np.zeros(a.size), 0.0
     active = prod > 0.0
+    if not np.any(active):
+        return np.zeros(a.size), 0.0
     a_act = a[active]
     b_act = b[active]
+    p_act = prod[active]
+    k = 2.0 + a_act
+    k2 = k * k
+    lam_on = (1.0 + a_act) / p_act
+    ahead = np.maximum(lam_on[:, None] - lam_on, 0.0)
+    at_turn_on = np.sum(_t_minus_one(p_act * ahead, k, k2) / b_act, axis=1)
+    on = at_turn_on < power
+    last = int(np.argmax(np.where(on, lam_on, -np.inf)))
+    a_on, b_on, p_on, k, k2 = a_act[on], b_act[on], p_act[on], k[on], k2[on]
+    head = p_on * (lam_on[last] - lam_on[on])
+    tol = _WF_ULPS * np.finfo(np.float64).eps * power
 
-    def alloc(mu):
-        # conjugate form of the positive root; the textbook
-        # (-a + sqrt(a^2 + 4ab/mu))/2 cancels catastrophically for large a
-        t = 2.0 * b_act / (mu + np.sqrt(mu * mu + 4.0 * b_act * mu / a_act))
-        return np.maximum(0.0, (t - 1.0) / b_act)
+    def alloc(v):
+        """(x, sum x - power, d sum x / dv) at lam = lam_m + v^2."""
+        u = _t_minus_one(p_on * (v * v) + head, k, k2)
+        x = u / b_on
+        return x, float(np.sum(x)) - power, float(2.0 * v * np.sum(a_on / (2.0 * u + k)))
 
-    x_act, mu = _bisect_water_level(alloc, power, float((a_act * b_act).max()))
+    lo = 0.0
+    hi = power * (2.0 + a_act[last] + b_act[last] * power) / a_act[last]
+    hi = float(np.sqrt(min(hi, float(np.min(lam_on[~on], initial=np.inf)) - lam_on[last])))
+    v = hi
+    x_on, gap, slope = alloc(v)
+    best = (abs(gap), v, x_on)
+    while abs(gap) > tol:
+        if gap > 0.0:
+            hi = v
+        else:
+            lo = v
+        step = v - gap / slope if slope > 0.0 else lo
+        if not lo < step < hi:
+            step = lo + 0.5 * (hi - lo)
+            if not lo < step < hi:
+                break
+        v = step
+        x_on, gap, slope = alloc(v)
+        if abs(gap) < best[0]:
+            best = (abs(gap), v, x_on)
+    _, v, x_on = best
     x = np.zeros(a.size)
-    x[active] = x_act
-    return x, mu
+    x[np.flatnonzero(active)[on]] = x_on
+    return x, 1.0 / (lam_on[last] + v * v)
 
 
 def trace_kkt_residual(weight_eigs, channel_eigs, gains_sq, mu: float) -> float:

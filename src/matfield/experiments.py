@@ -199,6 +199,8 @@ def build_config(data: dict, mode: Optional[str] = None, **overrides) -> Experim
     instance = merged.get("instance")
     if instance is not None and not isinstance(instance, dict):
         raise ConfigError("instance: expected an object")
+    if instance is not None and merged["mode"] == "verify-inequalities":
+        raise ConfigError("instance: verify-inequalities draws its own matrix pairs and takes none")
     jitter = merged.get("jitter_pi", False)
     if not isinstance(jitter, bool):
         raise ConfigError("jitter_pi: expected true or false")
@@ -298,12 +300,22 @@ def _system_and_weighting(cfg: ExperimentConfig, trial: int):
         model = system_from_json(cfg.instance, cfg.power)
         if "W" in cfg.instance:
             op = weighting_from_json(cfg.instance)
+            if op.n_streams != model.n_streams:
+                raise ConfigError(
+                    f"instance.W: {op.n_streams} rows, but the model has {model.n_streams} streams"
+                )
         else:
             op = generate_weighting(derive_seed(cfg.seed, trial, TAG_WEIGHTING), cfg.dims)
         return model, op
     model = generate_system(derive_seed(cfg.seed, trial, TAG_INSTANCE), cfg.dims, cfg.power)
     op = generate_weighting(derive_seed(cfg.seed, trial, TAG_WEIGHTING), cfg.dims)
     return model, op
+
+
+def _relay(cfg: ExperimentConfig, trial: int):
+    if cfg.instance is not None:
+        return relay_from_json(cfg.instance, cfg.power)
+    return generate_relay(derive_seed(cfg.seed, trial, TAG_INSTANCE), cfg.dims, cfg.power)
 
 
 def _run_point_design(cfg: ExperimentConfig, kind: str) -> tuple[list, dict]:
@@ -343,10 +355,7 @@ def _run_point_design(cfg: ExperimentConfig, kind: str) -> tuple[list, dict]:
 def _run_relay_design(cfg: ExperimentConfig, kind: str) -> tuple[list, dict]:
     records = []
     for trial in range(cfg.trials):
-        if cfg.instance is not None:
-            relay = relay_from_json(cfg.instance, cfg.power)
-        else:
-            relay = generate_relay(derive_seed(cfg.seed, trial, TAG_INSTANCE), cfg.dims, cfg.power)
+        relay = _relay(cfg, trial)
         sysmodel, op = relay_to_weighted(relay)
         if kind == "mse":
             fwd, objective, design = design_relay_sum_mse(relay)
@@ -459,7 +468,7 @@ def _run_verify_equivalence(cfg: ExperimentConfig) -> tuple[list, dict]:
     records = []
     worst = 0.0
     for trial in range(cfg.trials):
-        relay = generate_relay(derive_seed(cfg.seed, trial, TAG_INSTANCE), cfg.dims, cfg.power)
+        relay = _relay(cfg, trial)
         sysmodel, op = relay_to_weighted(relay)
         probe = SplitMix64(derive_seed(cfg.seed, trial, TAG_PROBE))
         fwd = probe.complex_normal(relay.n_relay_tx, relay.n_relay_rx)

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidMatrix, NotPD, NotPSD, ShapeError
 from .mimo import SystemModel
 from .relay import RelayModel
 from .rng import SplitMix64
-from .spectral import symmetrize
+from .spectral import hermitize, symmetrize
 from .weighting import WeightingOperator
 
 # minimum eigenvalue of every generated covariance
@@ -113,7 +113,27 @@ def matrix_from_json(obj, field: str) -> np.ndarray:
                 raise ConfigError(f"{field}[{i}][{j}]: expected an [re, im] pair")
             vals.append(complex(float(cell[0]), float(cell[1])))
         rows.append(vals)
-    return np.asarray(rows, dtype=np.complex128)
+    m = np.asarray(rows, dtype=np.complex128)
+    if not np.all(np.isfinite(m)):
+        raise ConfigError(f"{field}: entries must be finite")
+    return m
+
+
+def _hermitian_from_json(obj, key: str) -> np.ndarray:
+    """Square Hermitian matrix field `key` of an instance object."""
+    try:
+        return hermitize(matrix_from_json(obj[key], f"instance.{key}"))
+    except InvalidMatrix as exc:
+        raise ConfigError(f"instance.{key}: {exc}") from None
+
+
+def _model_from_json(make, **fields):
+    """Build a model from parsed instance fields; a model the fields cannot
+    make is a configuration error, and the model's message names the field."""
+    try:
+        return make(**fields)
+    except (ShapeError, NotPD, NotPSD) as exc:
+        raise ConfigError(f"instance: {exc}") from None
 
 
 def system_from_json(obj, power: float, n_streams: int | None = None) -> SystemModel:
@@ -124,11 +144,13 @@ def system_from_json(obj, power: float, n_streams: int | None = None) -> SystemM
         if key not in obj:
             raise ConfigError(f"instance.{key}: missing")
     h = matrix_from_json(obj["H"], "instance.H")
-    r_n = matrix_from_json(obj["R_n"], "instance.R_n")
+    r_n = _hermitian_from_json(obj, "R_n")
     streams = obj.get("n_streams", n_streams)
     if streams is None:
         streams = h.shape[1]
-    return SystemModel(channel=h, noise_cov=r_n, n_streams=int(streams), power=power)
+    if isinstance(streams, bool) or not isinstance(streams, int) or streams < 1:
+        raise ConfigError(f"instance.n_streams: expected a positive integer, got {streams!r}")
+    return _model_from_json(SystemModel, channel=h, noise_cov=r_n, n_streams=streams, power=power)
 
 
 def weighting_from_json(obj) -> WeightingOperator:
@@ -142,8 +164,8 @@ def weighting_from_json(obj) -> WeightingOperator:
         )
     else:
         weights = (matrix_from_json(w_obj, "instance.W"),)
-    pi = matrix_from_json(obj["Pi"], "instance.Pi")
-    return WeightingOperator(weights=weights, offset=pi)
+    pi = _hermitian_from_json(obj, "Pi")
+    return _model_from_json(WeightingOperator, weights=weights, offset=pi)
 
 
 def relay_from_json(obj, power: float) -> RelayModel:
@@ -154,8 +176,12 @@ def relay_from_json(obj, power: float) -> RelayModel:
     for key in ("H1", "H2", "R_s", "R_n1", "R_n2"):
         if key not in obj:
             raise ConfigError(f"instance.{key}: missing")
-        mats[key] = matrix_from_json(obj[key], f"instance.{key}")
-    return RelayModel(
+        if key.startswith("H"):
+            mats[key] = matrix_from_json(obj[key], f"instance.{key}")
+        else:
+            mats[key] = _hermitian_from_json(obj, key)
+    return _model_from_json(
+        RelayModel,
         channel1=mats["H1"],
         channel2=mats["H2"],
         source_cov=mats["R_s"],

@@ -42,10 +42,10 @@ class SystemModel:
         r = hermitize(self.noise_cov)
         if r.shape[0] != h.shape[0]:
             raise ShapeError(
-                f"noise covariance is {r.shape} but the channel has {h.shape[0]} outputs"
+                f"noise covariance R_n is {r.shape} but the channel has {h.shape[0]} outputs"
             )
         if np.linalg.eigvalsh(r).min() <= 0.0:
-            raise NotPD("noise covariance must be strictly positive definite")
+            raise NotPD("noise covariance R_n must be strictly positive definite")
         if int(self.n_streams) < 1:
             raise ValueError("n_streams must be at least 1")
         if not float(self.power) > 0.0:

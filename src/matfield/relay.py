@@ -54,14 +54,18 @@ class RelayModel:
         r1 = hermitize(self.noise1_cov)
         r2 = hermitize(self.noise2_cov)
         if rs.shape[0] != h1.shape[1]:
-            raise ShapeError(f"source covariance {rs.shape} does not match H1 inputs {h1.shape[1]}")
+            raise ShapeError(f"source covariance R_s {rs.shape} does not match H1 inputs {h1.shape[1]}")
         if r1.shape[0] != h1.shape[0]:
-            raise ShapeError(f"relay noise covariance {r1.shape} does not match H1 outputs")
+            raise ShapeError(f"relay noise covariance R_n1 {r1.shape} does not match H1 outputs")
         if r2.shape[0] != h2.shape[0]:
-            raise ShapeError(f"destination noise covariance {r2.shape} does not match H2 outputs")
-        for mat, name in ((rs, "source"), (r1, "relay noise"), (r2, "destination noise")):
+            raise ShapeError(f"destination noise covariance R_n2 {r2.shape} does not match H2 outputs")
+        for mat, name in (
+            (rs, "source covariance R_s"),
+            (r1, "relay noise covariance R_n1"),
+            (r2, "destination noise covariance R_n2"),
+        ):
             if np.linalg.eigvalsh(mat).min() <= 0.0:
-                raise NotPD(f"{name} covariance must be strictly positive definite")
+                raise NotPD(f"{name} must be strictly positive definite")
         if not float(self.power) > 0.0:
             raise ValueError("relay power budget must be positive")
         object.__setattr__(self, "channel1", h1)

@@ -35,15 +35,15 @@ class WeightingOperator:
         shape = ws[0].shape
         for w in ws[1:]:
             if w.shape != shape:
-                raise ShapeError(f"all weighting factors must share shape {shape}, got {w.shape}")
+                raise ShapeError(f"all weighting factors W_k must share shape {shape}, got {w.shape}")
         pi = hermitize(self.offset)
         if pi.shape[0] != shape[1]:
             raise ShapeError(
-                f"offset must be {shape[1]}x{shape[1]} to match the factor columns, got {pi.shape}"
+                f"offset Pi must be {shape[1]}x{shape[1]} to match the factor columns, got {pi.shape}"
             )
         w_eigs = np.linalg.eigvalsh(pi)
         if w_eigs.size and w_eigs.min() < -PSD_RTOL * max(float(np.abs(w_eigs).max()), 1e-300):
-            raise NotPSD("offset matrix must be positive semi-definite")
+            raise NotPSD("offset matrix Pi must be positive semi-definite")
         object.__setattr__(self, "weights", ws)
         object.__setattr__(self, "offset", pi)
 

@@ -153,3 +153,44 @@ def masked_pgd_reference(problem, starts, max_iter=500):
         if np.any(improved):
             g[improved] = problem.gradient(x[improved])
     return f, x
+
+
+def waterfill_decimal_reference(a, b, power, kind, digits=60):
+    """Water-filling allocation in `digits`-digit decimal arithmetic.
+
+    Bisects lam = 1 / mu on the textbook per-mode allocations, trace
+    x = (sqrt(a b lam) - 1) / b and log-det x = (t - 1) / b with
+    t = (-a + sqrt(a^2 + 4 a b lam)) / 2, whose cancellations are harmless
+    at this precision.  Modes with a b = 0 get nothing.  Returns floats.
+    """
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = digits
+        av = [Decimal(float(v)) for v in a]
+        bv = [Decimal(float(v)) for v in b]
+        p = Decimal(float(power))
+
+        def alloc(lam):
+            out = []
+            for aj, bj in zip(av, bv):
+                if aj * bj == 0:
+                    out.append(Decimal(0))
+                    continue
+                if kind == "trace":
+                    t = (aj * bj * lam).sqrt()
+                else:
+                    t = (-aj + (aj * aj + 4 * aj * bj * lam).sqrt()) / 2
+                out.append(max(Decimal(0), (t - 1) / bj))
+            return out
+
+        lo, hi = Decimal(0), Decimal(1)
+        while sum(alloc(hi)) < p:
+            lo, hi = hi, 2 * hi
+        for _ in range(4 * digits):
+            mid = (lo + hi) / 2
+            if sum(alloc(mid)) < p:
+                lo = mid
+            else:
+                hi = mid
+        return np.array([float(v) for v in alloc(hi)])

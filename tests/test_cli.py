@@ -128,3 +128,68 @@ def test_demo_schur_smoke(capsys):
     assert main(["demo-schur", "--trials", "1", "--seed", "5"]) == 0
     out = capsys.readouterr().out
     assert "demo-schur" in out
+
+
+ONE = [[[1.0, 0.0]]]
+EYE2 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+NEG = [[[-1.0, 0.0]]]
+POINT = {"H": ONE, "R_n": ONE, "W": ONE, "Pi": ONE}
+RELAY = {"H1": ONE, "H2": ONE, "R_s": ONE, "R_n1": ONE, "R_n2": ONE}
+
+
+@pytest.mark.parametrize(
+    "mode, instance, field",
+    [
+        ("design-trace", {**POINT, "R_n": NEG}, "R_n"),
+        ("design-trace", {**POINT, "R_n": EYE2}, "R_n"),
+        ("design-det", {**POINT, "R_n": [[[1.0, 0.0], [2.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}, "instance.R_n"),
+        ("design-trace", {**POINT, "Pi": NEG}, "Pi"),
+        ("design-det", {**POINT, "Pi": EYE2}, "Pi"),
+        ("design-trace", {**POINT, "n_streams": 0}, "instance.n_streams"),
+        ("design-det", {**POINT, "n_streams": "two"}, "instance.n_streams"),
+        ("design-trace", {**POINT, "W": EYE2, "Pi": EYE2}, "instance.W"),
+        ("design-trace", {**POINT, "H": [[[float("nan"), 0.0]]]}, "instance.H"),
+        ("relay-mse", {**RELAY, "R_n2": NEG}, "R_n2"),
+        ("relay-capacity", {**RELAY, "R_s": EYE2}, "R_s"),
+        ("verify-equivalence", {**RELAY, "R_n1": NEG}, "R_n1"),
+        ("verify-equivalence", POINT, "instance.H1"),
+        ("verify-inequalities", RELAY, "instance"),
+    ],
+    ids=[
+        "non-pd-noise",
+        "noise-shape",
+        "non-hermitian-noise",
+        "non-psd-offset",
+        "offset-shape",
+        "zero-streams",
+        "string-streams",
+        "weight-rows",
+        "nan-channel",
+        "relay-non-pd-destination-noise",
+        "relay-source-shape",
+        "equivalence-uses-instance",
+        "equivalence-needs-relay-fields",
+        "inequalities-take-no-instance",
+    ],
+)
+def test_bad_instance_exits_two(tmp_path, capsys, mode, instance, field):
+    cfg = write_config(tmp_path, {"trials": 1, "budget": 20, "instance": instance})
+    assert main([mode, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert field in err
+
+
+def test_verify_equivalence_runs_on_the_given_instance(tmp_path, monkeypatch):
+    import matfield.experiments
+
+    def no_generation(*args, **kwargs):
+        raise AssertionError("the instance was ignored")
+
+    monkeypatch.setattr(matfield.experiments, "generate_relay", no_generation)
+    out = tmp_path / "report.json"
+    cfg = write_config(tmp_path, {"trials": 2, "instance": RELAY})
+    assert main(["verify-equivalence", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["config"]["explicit_instance"] is True
+    assert report["pass"] and len(report["trials"]) == 2

@@ -236,6 +236,31 @@ def test_waterfill_logdet_beats_grid():
     assert logdet_kkt_residual(a, b, x, mu) < 1e-8
 
 
+@pytest.mark.parametrize(
+    "solver, residual, kind",
+    [(waterfill_trace, trace_kkt_residual, "trace"), (waterfill_logdet, logdet_kkt_residual, "logdet")],
+)
+def test_waterfill_tiny_budget_two_barely_active_modes(solver, residual, kind):
+    # at P = 1e-12 the second mode turns on only because its channel
+    # eigenvalue sits within 5e-13 of the first; the two must share the
+    # budget exactly, as a 60-digit solve of the same inputs does
+    a = np.array([1.0, 1.0])
+    b = np.array([1.0, 1.0 - 5e-13])
+    power = 1e-12
+    x, mu = solver(a, b, power)
+    assert np.all(x > 0.0)
+    assert abs(np.sum(x) - power) <= 1e-9 * power
+    assert residual(a, b, x, mu) <= 1e-8
+    want = helpers.waterfill_decimal_reference(a, b, power, kind)
+    assert np.allclose(x, want, rtol=1e-9, atol=0.0)
+
+
+def test_waterfill_single_active_mode_spends_budget_exactly():
+    for power in (1e-12, 3.7, 1e12):
+        x, _ = waterfill_trace(np.array([2.0, 1.0]), np.array([3.0, 0.0]), power)
+        assert x[0] == power and x[1] == 0.0
+
+
 def test_assemble_zero_gains():
     gen = helpers.rng(6)
     m = helpers.random_system(gen, 3, 2, 2, 1.0)
