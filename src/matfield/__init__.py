@@ -68,6 +68,7 @@ from .relay import (
     forwarding_to_precoder,
     precoder_to_forwarding,
     relay_capacity,
+    relay_capacity_routes,
     relay_to_weighted,
     relay_transmit_power,
     relay_weighted_mse,

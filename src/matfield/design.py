@@ -23,8 +23,8 @@ import numpy as np
 from .errors import NotPD, NotPSD, PreconditionError, ShapeError, Unsupported
 from .mimo import SystemModel
 from .spectral import (
-    PSD_RTOL,
     as_matrix,
+    eigs_are_psd,
     hermitize,
     inv_sqrt_pd,
     logdet_pd,
@@ -61,6 +61,7 @@ class PrecoderDesign:
     precoder        : assembled F = V_H diag_rect(gains) rotation^H
     objective_value : objective evaluated at the assembled precoder
     multiplier      : water-level dual variable of the power constraint
+    offset          : the offset Pi the design used (jittered when regularized)
     """
 
     channel_basis: np.ndarray
@@ -69,6 +70,7 @@ class PrecoderDesign:
     precoder: np.ndarray
     objective_value: float
     multiplier: float
+    offset: np.ndarray
 
 
 def whiten_channel(model: SystemModel) -> WhitenedChannel:
@@ -87,13 +89,8 @@ def whiten_channel(model: SystemModel) -> WhitenedChannel:
 # spectral lower bounds used by the structural arguments
 
 
-def trace_product_lower_bound(a, b, slack: float = 1e-9) -> tuple[float, bool]:
-    """Reverse-ordered eigenvalue bound sum_i lam_i(A) lam_{N-i+1}(B) <= Tr(AB).
-
-    Both inputs must be Hermitian PSD of equal shape.  Returns (bound, holds)
-    where holds allows `slack` relative to max(1, |Tr(AB)|).  Equality is
-    attained when A and B share eigenvectors with reversed eigenvalue order.
-    """
+def _psd_pair(a, b):
+    """Hermitian A, B of equal shape and their increasing spectra; both must be PSD."""
     ha = hermitize(a)
     hb = hermitize(b)
     if ha.shape != hb.shape:
@@ -101,8 +98,19 @@ def trace_product_lower_bound(a, b, slack: float = 1e-9) -> tuple[float, bool]:
     wa = np.linalg.eigvalsh(ha)
     wb = np.linalg.eigvalsh(hb)
     for w, name in ((wa, "A"), (wb, "B")):
-        if w.size and w.min() < -PSD_RTOL * max(float(np.abs(w).max()), 1e-300):
+        if not eigs_are_psd(w):
             raise NotPSD(f"{name} must be positive semi-definite")
+    return ha, hb, wa, wb
+
+
+def trace_product_lower_bound(a, b, slack: float = 1e-9) -> tuple[float, bool]:
+    """Reverse-ordered eigenvalue bound sum_i lam_i(A) lam_{N-i+1}(B) <= Tr(AB).
+
+    Both inputs must be Hermitian PSD of equal shape.  Returns (bound, holds)
+    where holds allows `slack` relative to max(1, |Tr(AB)|).  Equality is
+    attained when A and B share eigenvectors with reversed eigenvalue order.
+    """
+    ha, hb, wa, wb = _psd_pair(a, b)
     bound = float(np.sum(wa[::-1] * wb))  # A decreasing against B increasing
     tr = float(np.real(np.trace(ha @ hb)))
     holds = bound <= tr + slack * max(1.0, abs(tr))
@@ -115,15 +123,7 @@ def det_sum_lower_bound(a, b, slack: float = 1e-9) -> tuple[float, bool]:
     Both spectra sorted decreasing.  Equality is attained when A and B share
     eigenvectors with both eigenvalue lists in decreasing order.
     """
-    ha = hermitize(a)
-    hb = hermitize(b)
-    if ha.shape != hb.shape:
-        raise ShapeError(f"need equal shapes, got {ha.shape} vs {hb.shape}")
-    wa = np.linalg.eigvalsh(ha)
-    wb = np.linalg.eigvalsh(hb)
-    for w, name in ((wa, "A"), (wb, "B")):
-        if w.size and w.min() < -PSD_RTOL * max(float(np.abs(w).max()), 1e-300):
-            raise NotPSD(f"{name} must be positive semi-definite")
+    ha, hb, wa, wb = _psd_pair(a, b)
     bound = float(np.prod(wa[::-1] + wb[::-1]))  # both decreasing, aligned
     det = float(np.real(np.linalg.det(ha + hb)))
     holds = bound <= det * (1.0 + slack) + 1e-15 * max(1.0, abs(det))
@@ -362,6 +362,7 @@ def design_trace_min(model: SystemModel, op: WeightingOperator) -> PrecoderDesig
         precoder=f,
         objective_value=float(np.real(np.trace(psi))),
         multiplier=float(mu),
+        offset=op.offset,
     )
 
 
@@ -372,7 +373,8 @@ def design_det_min(
 
     Requires a strictly positive definite Pi; with jitter_pi=True a singular
     Pi is replaced by Pi + eps*I, eps = 1e-10 * Tr(Pi) / m, and the jittered
-    offset is used for both the rotation and the reported objective.  The
+    offset is used for the rotation and the reported objective and is
+    returned as the design's offset.  The
     rotation is the eigenbasis of W Pi^{-1} W^H; the amplitudes water-fill
     the paired (theta eigenvalues, whitened channel eigenvalues) spectra.
     objective_value is log det of the weighted error covariance at the
@@ -408,4 +410,5 @@ def design_det_min(
         precoder=f,
         objective_value=logdet_pd(psi),
         multiplier=float(mu),
+        offset=pi,
     )

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -38,6 +38,7 @@ from .design import (
 )
 from .errors import ConfigError
 from .instances import (
+    check_dims,
     generate_relay,
     generate_system,
     generate_weighting,
@@ -51,6 +52,7 @@ from .relay import (
     design_relay_sum_mse,
     first_hop_gram,
     forwarding_to_precoder,
+    relay_capacity_routes,
     relay_to_weighted,
     relay_transmit_power,
     relay_weighted_mse,
@@ -58,17 +60,6 @@ from .relay import (
 from .rng import SplitMix64, derive_seed
 from .spectral import logdet_pd, ordered_evd, ordered_svd, symmetrize
 from .weighting import WeightingOperator, weighted_mse_of_precoder
-
-MODES = (
-    "design-trace",
-    "design-det",
-    "relay-mse",
-    "relay-capacity",
-    "verify-inequalities",
-    "verify-equivalence",
-    "oracle-compare",
-    "demo-schur",
-)
 
 DEFAULT_TOLERANCES = {
     "dominance": 1e-8,
@@ -136,58 +127,41 @@ def load_config_file(path: str) -> dict:
     return data
 
 
-_CONFIG_KEYS = {
-    "mode",
-    "dims",
-    "power",
-    "trials",
-    "seed",
-    "budget",
-    "refinements",
-    "jitter_pi",
-    "tolerances",
-    "instance",
-}
+_CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
 
 
 def build_config(data: dict, mode: Optional[str] = None, **overrides) -> ExperimentConfig:
     """Merge a config dict with CLI-style overrides and validate fields."""
-    merged = dict(data)
-    for key in merged:
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"unknown config field {key!r}")
+    merged = {f.name: f.default for f in fields(ExperimentConfig) if f.default is not MISSING}
+    merged.update(data)
     for key, value in overrides.items():
         if value is not None:
             merged[key] = value
+    for key in merged:
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"unknown config field {key!r}")
     if mode is not None:
         merged["mode"] = mode
     if "mode" not in merged:
         raise ConfigError("mode: missing (give a subcommand or a mode field)")
     if merged["mode"] not in MODES:
         raise ConfigError(f"mode: unknown mode {merged['mode']!r}, expected one of {MODES}")
-    dims = merged.get("dims", (2, 2, 2, 2))
-    try:
-        dims = tuple(int(d) for d in dims)
-    except (TypeError, ValueError):
-        raise ConfigError(f"dims: expected four integers, got {dims!r}") from None
-    if len(dims) != 4 or any(d < 1 for d in dims):
-        raise ConfigError(f"dims: expected four positive integers, got {dims!r}")
+    dims = check_dims(merged["dims"])
     if any(d > 64 for d in dims):
         raise ConfigError("dims: entries above 64 are not supported by the harness")
     try:
-        power = float(merged.get("power", 4.0))
+        power = float(merged["power"])
     except (TypeError, ValueError):
-        raise ConfigError(f"power: expected a number, got {merged.get('power')!r}") from None
+        raise ConfigError(f"power: expected a number, got {merged['power']!r}") from None
     if not power > 0.0:
         raise ConfigError("power: must be positive")
     for key, lo in (("trials", 1), ("budget", 1), ("refinements", 0), ("seed", None)):
-        if key in merged:
-            try:
-                merged[key] = int(merged[key])
-            except (TypeError, ValueError):
-                raise ConfigError(f"{key}: expected an integer, got {merged[key]!r}") from None
-            if lo is not None and merged[key] < lo:
-                raise ConfigError(f"{key}: must be >= {lo}")
+        try:
+            merged[key] = int(merged[key])
+        except (TypeError, ValueError):
+            raise ConfigError(f"{key}: expected an integer, got {merged[key]!r}") from None
+        if lo is not None and merged[key] < lo:
+            raise ConfigError(f"{key}: must be >= {lo}")
     tol = merged.get("tolerances", {})
     if not isinstance(tol, dict):
         raise ConfigError("tolerances: expected an object of name -> value")
@@ -201,21 +175,9 @@ def build_config(data: dict, mode: Optional[str] = None, **overrides) -> Experim
         raise ConfigError("instance: expected an object")
     if instance is not None and merged["mode"] == "verify-inequalities":
         raise ConfigError("instance: verify-inequalities draws its own matrix pairs and takes none")
-    jitter = merged.get("jitter_pi", False)
-    if not isinstance(jitter, bool):
+    if not isinstance(merged["jitter_pi"], bool):
         raise ConfigError("jitter_pi: expected true or false")
-    return ExperimentConfig(
-        mode=merged["mode"],
-        dims=dims,
-        power=power,
-        trials=merged.get("trials", 20),
-        seed=merged.get("seed", 0),
-        budget=merged.get("budget", 2000),
-        refinements=merged.get("refinements", 100),
-        jitter_pi=jitter,
-        tolerances=dict(tol),
-        instance=instance,
-    )
+    return ExperimentConfig(**{**merged, "dims": dims, "power": power, "tolerances": dict(tol)})
 
 
 # ---------------------------------------------------------------------------
@@ -238,32 +200,30 @@ def _padded(values: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _design_invariants(cfg, model, op, design, kind: str) -> tuple[dict, dict]:
-    """Power, KKT, ordering, and scalarization checks shared by design modes."""
+def _design_invariants(cfg, model, op, design, kind: str, power_used: float) -> tuple[dict, dict]:
+    """Power, KKT, ordering, and scalarization checks shared by design modes.
+
+    power_used is the power the design spends: Tr(F F^H) for a point
+    design, Tr(P C1 P^H) for a relay design.
+    """
     spectrum = whiten_channel(model)
     n_streams = model.n_streams
     lam_h_modes = _padded(spectrum.eigenvalues, n_streams)
     gains_sq = _padded(design.gains**2, n_streams)
+    pi_eff = design.offset
     if kind == "trace":
         lam_obj = _padded(np.asarray(ordered_svd(op.weights[0]).s) ** 2, n_streams)
-        pi_eff = op.offset
         scalar = float(np.sum(lam_obj / (1.0 + lam_h_modes * gains_sq))) + float(
             np.real(np.trace(pi_eff))
         )
         kkt = trace_kkt_residual(lam_obj, lam_h_modes, gains_sq, design.multiplier)
     else:
-        pi_eff = op.offset
-        pi_eigs = np.linalg.eigvalsh(pi_eff)
-        if pi_eigs.min() <= 0.0 and cfg.jitter_pi:
-            eps = 1e-10 * float(np.real(np.trace(pi_eff))) / pi_eff.shape[0]
-            pi_eff = symmetrize(pi_eff + eps * np.eye(pi_eff.shape[0]))
         theta = symmetrize(op.weights[0] @ np.linalg.solve(pi_eff, op.weights[0].conj().T))
         lam_obj = _padded(np.clip(ordered_evd(theta).values, 0.0, None), n_streams)
         scalar = logdet_pd(pi_eff) + float(
             np.sum(np.log(lam_obj / (1.0 + lam_h_modes * gains_sq) + 1.0))
         )
         kkt = logdet_kkt_residual(lam_obj, lam_h_modes, gains_sq, design.multiplier)
-    power_used = transmit_power(design.precoder)
     any_active = bool(np.any(lam_obj * lam_h_modes > 0.0))
     if any_active:
         power_ok = abs(power_used - model.power) <= cfg.tolerance("power_rel") * model.power
@@ -291,24 +251,68 @@ def _record_pass(flags: dict) -> bool:
     return all(bool(v) for v in flags.values())
 
 
+def _num(value):
+    return None if value is None else float(value)
+
+
+def _record(trial, flags, detail, objective=None, oracle_best=None, gap=None, power=None, problem=None):
+    """One per-trial report entry; oracle-compare names its problem right after the trial."""
+    rec = {"trial": trial}
+    if problem is not None:
+        rec["problem"] = problem
+    rec.update(
+        objective_structured=_num(objective),
+        objective_oracle_best=_num(oracle_best),
+        gap=_num(gap),
+        power_used=_num(power),
+        invariant_pass=flags,
+        detail=detail,
+    )
+    return rec
+
+
+def _oracle(cfg: ExperimentConfig, trial: int, problem) -> float:
+    return random_search_oracle(
+        problem, cfg.budget, derive_seed(cfg.seed, trial, TAG_ORACLE), refinements=cfg.refinements
+    )
+
+
+def _gap_ok(cfg: ExperimentConfig, gap: float) -> bool:
+    return bool(gap >= -cfg.tolerance("optimality_gap"))
+
+
+def _worst_gap(records: list) -> dict:
+    return {"worst_gap": float(min(r["gap"] for r in records))}
+
+
 # ---------------------------------------------------------------------------
 # mode implementations
 
 
-def _system_and_weighting(cfg: ExperimentConfig, trial: int):
+def _system(cfg: ExperimentConfig, trial: int):
     if cfg.instance is not None:
-        model = system_from_json(cfg.instance, cfg.power)
-        if "W" in cfg.instance:
-            op = weighting_from_json(cfg.instance)
-            if op.n_streams != model.n_streams:
-                raise ConfigError(
-                    f"instance.W: {op.n_streams} rows, but the model has {model.n_streams} streams"
-                )
-        else:
-            op = generate_weighting(derive_seed(cfg.seed, trial, TAG_WEIGHTING), cfg.dims)
+        return system_from_json(cfg.instance, cfg.power)
+    return generate_system(derive_seed(cfg.seed, trial, TAG_INSTANCE), cfg.dims, cfg.power)
+
+
+def _system_and_weighting(cfg: ExperimentConfig, trial: int):
+    """The trial's model and a single-factor weighting that fits its streams."""
+    model = _system(cfg, trial)
+    if cfg.instance is not None and "W" in cfg.instance:
+        op = weighting_from_json(cfg.instance)
+        if op.k != 1:
+            raise ConfigError(f"instance.W: the closed-form designs take one factor, got {op.k}")
+        if op.n_streams != model.n_streams:
+            raise ConfigError(
+                f"instance.W: {op.n_streams} rows, but the model has {model.n_streams} streams"
+            )
         return model, op
-    model = generate_system(derive_seed(cfg.seed, trial, TAG_INSTANCE), cfg.dims, cfg.power)
     op = generate_weighting(derive_seed(cfg.seed, trial, TAG_WEIGHTING), cfg.dims)
+    if op.n_streams != model.n_streams:
+        raise ConfigError(
+            f"dims: the generated weighting has {op.n_streams} streams, but the instance has "
+            f"{model.n_streams} (give instance.W and instance.Pi, or set dims)"
+        )
     return model, op
 
 
@@ -318,100 +322,61 @@ def _relay(cfg: ExperimentConfig, trial: int):
     return generate_relay(derive_seed(cfg.seed, trial, TAG_INSTANCE), cfg.dims, cfg.power)
 
 
+def _point_trial(cfg: ExperimentConfig, trial: int, model, op, kind: str):
+    """(design, oracle_best, gap) of one point-to-point design against the oracle."""
+    if kind == "trace":
+        design = design_trace_min(model, op)
+        problem = trace_problem(model, op)
+    else:
+        design = design_det_min(model, op, jitter_pi=cfg.jitter_pi)
+        problem = logdet_problem(model, op)
+    oracle_best = _oracle(cfg, trial, problem)
+    return design, oracle_best, oracle_best - design.objective_value
+
+
 def _run_point_design(cfg: ExperimentConfig, kind: str) -> tuple[list, dict]:
     records = []
     for trial in range(cfg.trials):
         model, op = _system_and_weighting(cfg, trial)
-        if kind == "trace":
-            design = design_trace_min(model, op)
-            problem = trace_problem(model, op)
-        else:
-            design = design_det_min(model, op, jitter_pi=cfg.jitter_pi)
-            problem = logdet_problem(model, op)
-        oracle_best = random_search_oracle(
-            problem,
-            cfg.budget,
-            derive_seed(cfg.seed, trial, TAG_ORACLE),
-            refinements=cfg.refinements,
+        design, oracle_best, gap = _point_trial(cfg, trial, model, op, kind)
+        flags, detail = _design_invariants(
+            cfg, model, op, design, kind, transmit_power(design.precoder)
         )
-        gap = oracle_best - design.objective_value
-        flags, detail = _design_invariants(cfg, model, op, design, kind)
-        flags["gap"] = bool(gap >= -cfg.tolerance("optimality_gap"))
+        flags["gap"] = _gap_ok(cfg, gap)
         records.append(
-            {
-                "trial": trial,
-                "objective_structured": float(design.objective_value),
-                "objective_oracle_best": float(oracle_best),
-                "gap": float(gap),
-                "power_used": detail["power_used"],
-                "invariant_pass": flags,
-                "detail": detail,
-            }
+            _record(trial, flags, detail, design.objective_value, oracle_best, gap, detail["power_used"])
         )
-    worst = min(r["gap"] for r in records)
-    return records, {"worst_gap": float(worst)}
+    return records, _worst_gap(records)
 
 
 def _run_relay_design(cfg: ExperimentConfig, kind: str) -> tuple[list, dict]:
+    """kind "trace" is the sum-MSE design, "det" the capacity design."""
     records = []
     for trial in range(cfg.trials):
         relay = _relay(cfg, trial)
         sysmodel, op = relay_to_weighted(relay)
-        if kind == "mse":
+        if kind == "trace":
             fwd, objective, design = design_relay_sum_mse(relay)
-            problem = relay_mse_problem(relay)
-            oracle_min = random_search_oracle(
-                problem,
-                cfg.budget,
-                derive_seed(cfg.seed, trial, TAG_ORACLE),
-                refinements=cfg.refinements,
-            )
-            oracle_best = oracle_min
+            oracle_best = _oracle(cfg, trial, relay_mse_problem(relay))
             gap = oracle_best - objective
-            mapped = float(np.real(np.trace(weighted_mse_of_precoder(op, sysmodel, forwarding_to_precoder(relay, fwd)))))
-            route_gap = _scalar_gap(objective, mapped)
-            inv_kind = "trace"
         else:
             fwd, objective, design = design_relay_capacity(relay, jitter_pi=cfg.jitter_pi)
-            problem = relay_logdet_problem(relay)
-            oracle_min = random_search_oracle(
-                problem,
-                cfg.budget,
-                derive_seed(cfg.seed, trial, TAG_ORACLE),
-                refinements=cfg.refinements,
-            )
+            oracle_min = _oracle(cfg, trial, relay_logdet_problem(relay))
             oracle_best = logdet_pd(relay.source_cov) - oracle_min
             gap = objective - oracle_best
-            ld_mapped = logdet_pd(
-                weighted_mse_of_precoder(op, sysmodel, forwarding_to_precoder(relay, fwd))
-            )
-            route_gap = _scalar_gap(
-                objective, logdet_pd(relay.source_cov) - ld_mapped
-            )
-            inv_kind = "det"
-        flags, detail = _design_invariants(cfg, sysmodel, op, design, inv_kind)
+        psi = weighted_mse_of_precoder(op, sysmodel, forwarding_to_precoder(relay, fwd))
+        if kind == "trace":
+            mapped = float(np.real(np.trace(psi)))
+        else:
+            mapped = logdet_pd(relay.source_cov) - logdet_pd(psi)
+        route_gap = _scalar_gap(objective, mapped)
         power_used = relay_transmit_power(relay, fwd)
-        flags["power"] = bool(
-            abs(power_used - relay.power) <= cfg.tolerance("power_rel") * relay.power
-            or power_used <= cfg.tolerance("power_rel") * relay.power
-        )
-        flags["gap"] = bool(gap >= -cfg.tolerance("optimality_gap"))
+        flags, detail = _design_invariants(cfg, sysmodel, op, design, kind, power_used)
+        flags["gap"] = _gap_ok(cfg, gap)
         flags["route_match"] = bool(route_gap <= cfg.tolerance("equivalence_rel"))
-        detail["power_used"] = float(power_used)
         detail["route_rel_gap"] = float(route_gap)
-        records.append(
-            {
-                "trial": trial,
-                "objective_structured": float(objective),
-                "objective_oracle_best": float(oracle_best),
-                "gap": float(gap),
-                "power_used": float(power_used),
-                "invariant_pass": flags,
-                "detail": detail,
-            }
-        )
-    worst = min(r["gap"] for r in records)
-    return records, {"worst_gap": float(worst)}
+        records.append(_record(trial, flags, detail, objective, oracle_best, gap, power_used))
+    return records, _worst_gap(records)
 
 
 def _run_verify_inequalities(cfg: ExperimentConfig) -> tuple[list, dict]:
@@ -445,22 +410,13 @@ def _run_verify_inequalities(cfg: ExperimentConfig) -> tuple[list, dict]:
             "det_equality": bool(eq2_gap <= cfg.tolerance("equality_rel")),
         }
         worst = max(worst, eq1_gap, eq2_gap)
-        records.append(
-            {
-                "trial": trial,
-                "objective_structured": None,
-                "objective_oracle_best": None,
-                "gap": None,
-                "power_used": None,
-                "invariant_pass": flags,
-                "detail": {
-                    "trace_bound": bound1,
-                    "det_bound": bound2,
-                    "trace_equality_rel_gap": eq1_gap,
-                    "det_equality_rel_gap": eq2_gap,
-                },
-            }
-        )
+        detail = {
+            "trace_bound": bound1,
+            "det_bound": bound2,
+            "trace_equality_rel_gap": eq1_gap,
+            "det_equality_rel_gap": eq2_gap,
+        }
+        records.append(_record(trial, flags, detail))
     return records, {"max_equality_rel_gap": float(worst)}
 
 
@@ -483,20 +439,16 @@ def _run_verify_equivalence(cfg: ExperimentConfig) -> tuple[list, dict]:
 
         pi_identity = _rel_gap(op.factor_gram() + op.offset, relay.source_cov)
 
-        power_gap = abs(
-            relay_transmit_power(relay, fwd) - transmit_power(f_mapped)
-        ) / max(1.0, relay.power)
+        power_used = relay_transmit_power(relay, fwd)
+        power_gap = abs(power_used - transmit_power(f_mapped)) / max(1.0, relay.power)
 
-        # capacity, both routes computed explicitly
-        cap_err = logdet_pd(relay.source_cov) - logdet_pd(psi_relay)
+        # the flag, not relay_capacity's NumericalError, reports a disagreement
+        cap_gap = _scalar_gap(*relay_capacity_routes(relay, fwd))
+
+        # independent end-to-end error covariance in information form
         t = relay.channel2 @ fwd
         a_chain = t @ relay.channel1
         c_noise = symmetrize(t @ relay.noise1_cov @ t.conj().T + relay.noise2_cov)
-        m_sig = symmetrize(a_chain @ relay.source_cov @ a_chain.conj().T)
-        cap_mi = logdet_pd(c_noise + m_sig) - logdet_pd(c_noise)
-        cap_gap = _scalar_gap(cap_err, cap_mi)
-
-        # independent end-to-end error covariance in information form
         x = np.linalg.solve(c_noise, a_chain)
         info = np.linalg.inv(relay.source_cov) + a_chain.conj().T @ x
         e2e = np.linalg.inv(symmetrize(info))
@@ -510,23 +462,14 @@ def _run_verify_equivalence(cfg: ExperimentConfig) -> tuple[list, dict]:
             "end_to_end_lmmse": bool(e2e_rel <= cfg.tolerance("equivalence_rel")),
         }
         worst = max(worst, route_rel, cap_gap, e2e_rel)
-        records.append(
-            {
-                "trial": trial,
-                "objective_structured": None,
-                "objective_oracle_best": None,
-                "gap": None,
-                "power_used": float(relay_transmit_power(relay, fwd)),
-                "invariant_pass": flags,
-                "detail": {
-                    "route_rel_gap": route_rel,
-                    "pi_identity_rel_gap": pi_identity,
-                    "power_rel_gap": power_gap,
-                    "capacity_rel_gap": cap_gap,
-                    "end_to_end_rel_gap": e2e_rel,
-                },
-            }
-        )
+        detail = {
+            "route_rel_gap": route_rel,
+            "pi_identity_rel_gap": pi_identity,
+            "power_rel_gap": power_gap,
+            "capacity_rel_gap": cap_gap,
+            "end_to_end_rel_gap": e2e_rel,
+        }
+        records.append(_record(trial, flags, detail, power=power_used))
     return records, {"max_rel_discrepancy": float(worst)}
 
 
@@ -535,34 +478,13 @@ def _run_oracle_compare(cfg: ExperimentConfig) -> tuple[list, dict]:
     for trial in range(cfg.trials):
         model, op = _system_and_weighting(cfg, trial)
         for kind in ("trace", "det"):
-            if kind == "trace":
-                design = design_trace_min(model, op)
-                problem = trace_problem(model, op)
-            else:
-                design = design_det_min(model, op, jitter_pi=cfg.jitter_pi)
-                problem = logdet_problem(model, op)
-            oracle_best = random_search_oracle(
-                problem,
-                cfg.budget,
-                derive_seed(cfg.seed, trial, TAG_ORACLE),
-                refinements=cfg.refinements,
-            )
-            gap = oracle_best - design.objective_value
-            flags = {"gap": bool(gap >= -cfg.tolerance("optimality_gap"))}
+            design, oracle_best, gap = _point_trial(cfg, trial, model, op, kind)
+            flags = {"gap": _gap_ok(cfg, gap)}
+            power = transmit_power(design.precoder)
             records.append(
-                {
-                    "trial": trial,
-                    "problem": kind,
-                    "objective_structured": float(design.objective_value),
-                    "objective_oracle_best": float(oracle_best),
-                    "gap": float(gap),
-                    "power_used": float(transmit_power(design.precoder)),
-                    "invariant_pass": flags,
-                    "detail": {},
-                }
+                _record(trial, flags, {}, design.objective_value, oracle_best, gap, power, kind)
             )
-    worst = min(r["gap"] for r in records)
-    return records, {"worst_gap": float(worst)}
+    return records, _worst_gap(records)
 
 
 def _dft_matrix(n: int) -> np.ndarray:
@@ -576,7 +498,7 @@ def _run_demo_schur(cfg: ExperimentConfig) -> tuple[list, dict]:
     records = []
     spreads = []
     for trial in range(cfg.trials):
-        model, _ = _system_and_weighting(cfg, trial)
+        model = _system(cfg, trial)
         n = model.n_streams
         lam_w = np.linspace(1.005, 0.995, n)  # <= 1% spread around 1
         w = _dft_matrix(n) @ np.diag(np.sqrt(lam_w)).astype(np.complex128)
@@ -588,21 +510,30 @@ def _run_demo_schur(cfg: ExperimentConfig) -> tuple[list, dict]:
             float(stream_mses.mean()), 1e-300
         )
         spreads.append(spread)
+        detail = {"stream_mses": [float(v) for v in stream_mses], "stream_mse_spread": spread}
         records.append(
-            {
-                "trial": trial,
-                "objective_structured": float(design.objective_value),
-                "objective_oracle_best": None,
-                "gap": None,
-                "power_used": float(transmit_power(design.precoder)),
-                "invariant_pass": {"informational": True},
-                "detail": {
-                    "stream_mses": [float(v) for v in stream_mses],
-                    "stream_mse_spread": spread,
-                },
-            }
+            _record(
+                trial,
+                {"informational": True},
+                detail,
+                design.objective_value,
+                power=transmit_power(design.precoder),
+            )
         )
     return records, {"max_stream_mse_spread": float(max(spreads))}
+
+
+_RUNNERS = {
+    "design-trace": lambda cfg: _run_point_design(cfg, "trace"),
+    "design-det": lambda cfg: _run_point_design(cfg, "det"),
+    "relay-mse": lambda cfg: _run_relay_design(cfg, "trace"),
+    "relay-capacity": lambda cfg: _run_relay_design(cfg, "det"),
+    "verify-inequalities": _run_verify_inequalities,
+    "verify-equivalence": _run_verify_equivalence,
+    "oracle-compare": _run_oracle_compare,
+    "demo-schur": _run_demo_schur,
+}
+MODES = tuple(_RUNNERS)
 
 
 # ---------------------------------------------------------------------------
@@ -612,24 +543,7 @@ def _run_demo_schur(cfg: ExperimentConfig) -> tuple[list, dict]:
 def run(cfg: ExperimentConfig) -> dict:
     """Execute the configured mode and return the report dict."""
     start = time.perf_counter()
-    if cfg.mode == "design-trace":
-        records, extra = _run_point_design(cfg, "trace")
-    elif cfg.mode == "design-det":
-        records, extra = _run_point_design(cfg, "det")
-    elif cfg.mode == "relay-mse":
-        records, extra = _run_relay_design(cfg, "mse")
-    elif cfg.mode == "relay-capacity":
-        records, extra = _run_relay_design(cfg, "capacity")
-    elif cfg.mode == "verify-inequalities":
-        records, extra = _run_verify_inequalities(cfg)
-    elif cfg.mode == "verify-equivalence":
-        records, extra = _run_verify_equivalence(cfg)
-    elif cfg.mode == "oracle-compare":
-        records, extra = _run_oracle_compare(cfg)
-    elif cfg.mode == "demo-schur":
-        records, extra = _run_demo_schur(cfg)
-    else:  # pragma: no cover - build_config rejects unknown modes
-        raise ConfigError(f"unknown mode {cfg.mode!r}")
+    records, extra = _RUNNERS[cfg.mode](cfg)
     failures = sum(0 if _record_pass(r["invariant_pass"]) else 1 for r in records)
     aggregate = {
         "trials": len(records),

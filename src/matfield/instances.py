@@ -33,16 +33,20 @@ def _pd_cov(stream: SplitMix64, n: int) -> np.ndarray:
     return symmetrize(b.conj().T @ b + _COV_RIDGE * np.eye(n))
 
 
-def _check_dims(dims) -> tuple[int, int, int, int]:
-    t = tuple(int(d) for d in dims)
+def check_dims(dims) -> tuple[int, int, int, int]:
+    """The quadruple (n_tx, n_rx, n_streams, m) as ints; ConfigError unless four positive integers."""
+    try:
+        t = tuple(int(d) for d in dims)
+    except (TypeError, ValueError):
+        raise ConfigError(f"dims: expected four integers, got {dims!r}") from None
     if len(t) != 4 or any(d < 1 for d in t):
-        raise ConfigError(f"dims must be four positive integers, got {dims!r}")
+        raise ConfigError(f"dims: expected four positive integers, got {dims!r}")
     return t
 
 
 def generate_system(seed: int, dims, power: float) -> SystemModel:
     """Deterministic point-to-point instance for (seed, dims, power)."""
-    n_tx, n_rx, n_streams, _ = _check_dims(dims)
+    n_tx, n_rx, n_streams, _ = check_dims(dims)
     stream = SplitMix64(seed)
     h = stream.complex_normal(n_rx, n_tx)
     r_n = _pd_cov(stream, n_rx)
@@ -51,7 +55,7 @@ def generate_system(seed: int, dims, power: float) -> SystemModel:
 
 def generate_weighting(seed: int, dims) -> WeightingOperator:
     """Deterministic single-factor weighting operator with a PD offset."""
-    _, _, n_streams, m = _check_dims(dims)
+    _, _, n_streams, m = check_dims(dims)
     stream = SplitMix64(seed)
     w = stream.complex_normal(n_streams, m)
     pi = _pd_cov(stream, m)
@@ -60,7 +64,7 @@ def generate_weighting(seed: int, dims) -> WeightingOperator:
 
 def generate_relay(seed: int, dims, power: float) -> RelayModel:
     """Deterministic two-hop relay instance for (seed, dims, power)."""
-    n_tx, n_rx, n_streams, m = _check_dims(dims)
+    n_tx, n_rx, n_streams, m = check_dims(dims)
     stream = SplitMix64(seed)
     h1 = stream.complex_normal(n_streams, m)
     h2 = stream.complex_normal(n_rx, n_tx)

@@ -177,13 +177,12 @@ def relay_weighted_mse(model: RelayModel, forwarding) -> np.ndarray:
     return symmetrize(model.source_cov - a2.conj().T @ x)
 
 
-def relay_capacity(model: RelayModel, forwarding) -> float:
-    """Source-destination mutual information of the chain with Gaussian signaling.
+def relay_capacity_routes(model: RelayModel, forwarding) -> tuple[float, float]:
+    """The chain mutual information by two routes, (cap_err, cap_mi).
 
-    Computed as log det R_s - log det Psi(P) and cross-checked against the
-    direct form log det(A R_s A^H C^{-1} + I) with A = H2 P H1 and
-    C = H2 P R_n1 P^H H2^H + R_n2; disagreement beyond 1e-9 relative raises
-    NumericalError.
+    cap_err = log det R_s - log det Psi(P) goes through the error covariance;
+    cap_mi = log det(A R_s A^H C^{-1} + I) with A = H2 P H1 and
+    C = H2 P R_n1 P^H H2^H + R_n2 is the direct form.
     """
     p = _check_forwarding(model, forwarding)
     cap_err = logdet_pd(model.source_cov) - logdet_pd(relay_weighted_mse(model, p))
@@ -191,7 +190,16 @@ def relay_capacity(model: RelayModel, forwarding) -> float:
     a = t @ model.channel1
     c = symmetrize(t @ model.noise1_cov @ t.conj().T + model.noise2_cov)
     m = symmetrize(a @ model.source_cov @ a.conj().T)
-    cap_mi = logdet_pd(c + m) - logdet_pd(c)
+    return cap_err, logdet_pd(c + m) - logdet_pd(c)
+
+
+def relay_capacity(model: RelayModel, forwarding) -> float:
+    """Source-destination mutual information of the chain with Gaussian signaling.
+
+    Returns cap_err of relay_capacity_routes; disagreement with the direct
+    form beyond 1e-9 relative raises NumericalError.
+    """
+    cap_err, cap_mi = relay_capacity_routes(model, forwarding)
     if abs(cap_err - cap_mi) > 1e-9 * max(1.0, abs(cap_err), abs(cap_mi)):
         raise NumericalError(
             "capacity routes disagree: {:.12e} vs {:.12e}".format(cap_err, cap_mi)

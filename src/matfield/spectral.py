@@ -31,6 +31,11 @@ PSD_RTOL = 1e-10         # relative eigenvalue floor accepted as "semi-definite"
 _ENTRY_TOL = 1e-12       # threshold for "non-negligible" vector entries
 
 
+def eigs_are_psd(w, rtol: float = PSD_RTOL) -> bool:
+    """True when the eigenvalues w clear the PSD floor min w >= -rtol * max|w|."""
+    return not w.size or bool(w.min() >= -rtol * max(float(np.abs(w).max()), 1e-300))
+
+
 def as_matrix(a) -> np.ndarray:
     """Coerce ``a`` to a 2-D complex128 array, rejecting non-finite entries."""
     m = np.asarray(a, dtype=np.complex128)
@@ -160,11 +165,7 @@ def ordered_evd(a, direction: str = "decreasing") -> OrderedEVD:
 
 def is_psd(a, rtol: float = PSD_RTOL) -> bool:
     """True when min eigenvalue >= -rtol * max|eigenvalue|."""
-    h = hermitize(a)
-    w = np.linalg.eigvalsh(h)
-    if w.size == 0:
-        return True
-    return bool(w.min() >= -rtol * max(float(np.abs(w).max()), 1e-300))
+    return eigs_are_psd(np.linalg.eigvalsh(hermitize(a)), rtol)
 
 
 def hermitian_sqrt(a) -> np.ndarray:
@@ -175,8 +176,7 @@ def hermitian_sqrt(a) -> np.ndarray:
     """
     h = hermitize(a)
     w, u = np.linalg.eigh(h)
-    scale = max(float(np.abs(w).max()) if w.size else 0.0, 1e-300)
-    if w.size and w.min() < -PSD_RTOL * scale:
+    if not eigs_are_psd(w):
         raise NotPSD(
             "matrix has eigenvalue {:.3e} below the PSD tolerance".format(float(w.min()))
         )

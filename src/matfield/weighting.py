@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InvalidWeight, NotPSD, PreconditionError, ShapeError
 from .mimo import SystemModel, mse_lmmse
-from .spectral import PSD_RTOL, as_matrix, hermitize, loewner_leq, symmetrize
+from .spectral import as_matrix, eigs_are_psd, hermitize, loewner_leq, symmetrize
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,8 +41,7 @@ class WeightingOperator:
             raise ShapeError(
                 f"offset Pi must be {shape[1]}x{shape[1]} to match the factor columns, got {pi.shape}"
             )
-        w_eigs = np.linalg.eigvalsh(pi)
-        if w_eigs.size and w_eigs.min() < -PSD_RTOL * max(float(np.abs(w_eigs).max()), 1e-300):
+        if not eigs_are_psd(np.linalg.eigvalsh(pi)):
             raise NotPSD("offset matrix Pi must be positive semi-definite")
         object.__setattr__(self, "weights", ws)
         object.__setattr__(self, "offset", pi)

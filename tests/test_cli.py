@@ -133,6 +133,7 @@ def test_demo_schur_smoke(capsys):
 ONE = [[[1.0, 0.0]]]
 EYE2 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
 NEG = [[[-1.0, 0.0]]]
+ROW3 = [[[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]]
 POINT = {"H": ONE, "R_n": ONE, "W": ONE, "Pi": ONE}
 RELAY = {"H1": ONE, "H2": ONE, "R_s": ONE, "R_n1": ONE, "R_n2": ONE}
 
@@ -154,6 +155,8 @@ RELAY = {"H1": ONE, "H2": ONE, "R_s": ONE, "R_n1": ONE, "R_n2": ONE}
         ("verify-equivalence", {**RELAY, "R_n1": NEG}, "R_n1"),
         ("verify-equivalence", POINT, "instance.H1"),
         ("verify-inequalities", RELAY, "instance"),
+        ("design-trace", {"H": ROW3, "R_n": ONE}, "dims"),
+        ("design-det", {**POINT, "W": [ONE, ONE]}, "instance.W"),
     ],
     ids=[
         "non-pd-noise",
@@ -170,6 +173,8 @@ RELAY = {"H1": ONE, "H2": ONE, "R_s": ONE, "R_n1": ONE, "R_n2": ONE}
         "equivalence-uses-instance",
         "equivalence-needs-relay-fields",
         "inequalities-take-no-instance",
+        "streams-differ-from-dims",
+        "several-weight-factors",
     ],
 )
 def test_bad_instance_exits_two(tmp_path, capsys, mode, instance, field):
@@ -178,6 +183,12 @@ def test_bad_instance_exits_two(tmp_path, capsys, mode, instance, field):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert field in err
+
+
+def test_demo_schur_ignores_the_weighting(tmp_path):
+    for instance in ({"H": ROW3, "R_n": ONE}, {**POINT, "W": [ONE, ONE]}):
+        cfg = write_config(tmp_path, {"trials": 1, "instance": instance})
+        assert main(["demo-schur", "--config", cfg]) == 0
 
 
 def test_verify_equivalence_runs_on_the_given_instance(tmp_path, monkeypatch):

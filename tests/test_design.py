@@ -446,6 +446,11 @@ def test_det_design_requires_pd_offset():
         design_det_min(m, op)
     d = design_det_min(m, op, jitter_pi=True)  # regularized fallback
     assert np.isfinite(d.objective_value)
+    # the design reports the jittered offset, eps = 1e-10 * Tr(Pi) / m
+    assert np.array_equal(d.offset, np.diag([1.0 + 0.5e-10, 0.5e-10]))
+    assert abs(d.objective_value - logdet_pd(weighted_mse_of_precoder(
+        WeightingOperator(weights=op.weights, offset=d.offset), m, d.precoder))) < 1e-9
+    assert design_trace_min(m, op).offset is op.offset
 
 
 def test_det_design_rejects_multi_factor():

@@ -79,8 +79,9 @@ def test_all_modes_run_and_pass(mode):
     assert render_csv(report).count("\n") >= 2
 
 
-def test_reports_are_deterministic_modulo_walltime():
-    cfg = build_config({"trials": 4, "budget": 100, "seed": 5}, mode="design-trace")
+@pytest.mark.parametrize("mode", MODES)
+def test_reports_are_deterministic_modulo_walltime(mode):
+    cfg = build_config({"trials": 2, "budget": 50, "refinements": 5, "seed": 5}, mode=mode)
     a = run(cfg)
     b = run(cfg)
     a = copy.deepcopy(a)
@@ -175,6 +176,24 @@ def test_tolerance_override_is_echoed_and_enforced():
     report = run(cfg)
     assert report["tolerances"]["equivalence_rel"] == 1e-300
     assert not report["pass"]  # float roundoff exceeds an impossible tolerance
+
+
+@pytest.mark.parametrize(
+    "mode, design", [("relay-mse", "design_relay_sum_mse"), ("relay-capacity", "design_relay_capacity")]
+)
+def test_relay_power_flag_rejects_zero_forwarding(monkeypatch, mode, design):
+    import matfield.experiments
+
+    real = getattr(matfield.experiments, design)
+
+    def silent_relay(*args, **kwargs):
+        fwd, objective, result = real(*args, **kwargs)
+        return np.zeros_like(fwd), objective, result
+
+    monkeypatch.setattr(matfield.experiments, design, silent_relay)
+    rec = run(build_config({"trials": 1, "budget": 20, "refinements": 1}, mode=mode))["trials"][0]
+    assert rec["power_used"] == 0.0
+    assert rec["invariant_pass"]["power"] is False
 
 
 DESIGN_MODES = ("design-trace", "design-det", "relay-mse", "relay-capacity")
