@@ -8,54 +8,33 @@ sampling plus multi-start projected-gradient refinement and returns the
 best objective it finds; the structured designs are certified by never
 losing to it.
 
-Gradients are conjugate (Wirtinger) gradients d objective / d conj(X); a
-descent step is X - eta * grad.  All objective/gradient callables accept a
-(batch, rows, cols) stack and return (batch,) or a same-shaped stack.
+Objectives and powers are the model layer's own stack kernels, so the oracle
+scores a candidate by the design's formulas; this module adds one conjugate
+(Wirtinger) gradient d objective / d conj(X) per family, a descent step being
+X - eta * grad.  With ``with_state=True`` an objective also returns its
+per-row intermediates (state), which ``gradient(x, state)`` takes instead of
+rebuilding them: ``(K F, Phi)`` for the trace problem, ``(K F, Phi, Psi)`` for
+log-det, ``(T, Z)`` for the relay sum-MSE and ``(Z, G, Psi)`` for the relay
+log-det (see `relay`).  A row mask selects the state of a subset of rows.
 
-Every product of the stack with a fixed matrix is one GEMM over the whole
-stack: the stack is reshaped to (batch * rows, cols) and multiplied from
-the right (``_right``), or transposed first for a product from the left
-(``_left``).  The fixed matrices are K = H^H R_n^{-1} H, W_gram = sum_k
-W_k W_k^H, H2, C1, S = H1 R_s and Q = S S^H.  The congruences Phi -> sum_k
-W_k^H Phi W_k and G -> S^H G S are linear, so each is one GEMM of the
-row-major vec of every member with sum_k kron(conj A_k, A_k)
-(``_congruence``); the conjugate transpose of that matrix is the adjoint
-map the gradients need.  Only products of two candidate-dependent
-matrices and one inverse or solve per Hermitian matrix are made matrix by
-matrix.  numpy multiplies a one-row operand through gemv or dot instead of
-gemm, so a row scored alone may differ in the last bits from the same row
-scored in a larger batch.
-
-Objective and gradient share their per-row intermediates: with
-``with_state=True`` the objective also returns a tuple of stacks (state)
-that ``gradient(x, state)`` takes instead of rebuilding them -- ``(kf,
-phi)`` for the trace problem and ``(kf, phi, psi)`` for log-det, with
-K F and Phi = (F^H K F + I)^{-1}; ``(t, z)`` for the relay sum-MSE and
-``(z, g, psi)`` for the relay log-det, with T = H2 P, Z = B^{-1} T for the
-bracket B = T C1 T^H + R_n2, and G = T^H Z.  Each state entry has one row
-per candidate, so a row mask selects the state of a subset.
-
-Projected-gradient refinement works on its live starts only.  It keeps an
-index array of the starts whose step has not fallen below its floor,
-projects and scores only those, hands each accepted candidate's state to
-the gradient, and drops a start for good once its step underflows (a
-frozen start could never be accepted again).
+Projected-gradient refinement scores only its live starts: those whose step
+has not fallen below its floor.  A start whose step underflows is dropped for
+good, as a frozen start could never be accepted again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import ShapeError
-from .mimo import SystemModel
-from .relay import RelayModel, first_hop_gram
+from .mimo import SystemModel, channel_gram, lmmse_error, precoder_power
+from .relay import RelayModel, forwarding_power, relay_chain, relay_error, relay_trace
 from .rng import SplitMix64
-from .spectral import symmetrize
-from .weighting import WeightingOperator
+from .spectral import _ct, _left, _right
+from .weighting import WeightingOperator, check_streams
 
 _POWER_FLOOR = 1e-300
 
@@ -73,7 +52,7 @@ class SearchProblem:
     power: float
     objective: Callable
     power_of: Callable
-    gradient: Optional[Callable] = None
+    gradient: Callable
 
 
 def _as_stack(x: np.ndarray, shape) -> np.ndarray:
@@ -85,207 +64,105 @@ def _as_stack(x: np.ndarray, shape) -> np.ndarray:
     return arr
 
 
-def _right(x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """X_s A for every stack member, as one GEMM over the stacked rows."""
-    return (x.reshape(-1, x.shape[-1]) @ a).reshape(x.shape[:-1] + (a.shape[-1],))
+def _search_problem(shape, power, power_of, score, grad) -> SearchProblem:
+    """The problem of score(stack) -> (values, state) and grad(*state) -> gradient stack."""
+
+    def objective(x, with_state=False):
+        out, state = score(_as_stack(x, shape))
+        return (out, state) if with_state else out
+
+    def gradient(x, state=None):
+        if state is None:
+            _, state = score(_as_stack(x, shape))
+        return grad(*state)
+
+    return SearchProblem(
+        shape=shape,
+        power=power,
+        objective=objective,
+        power_of=lambda x: power_of(_as_stack(x, shape)),
+        gradient=gradient,
+    )
 
 
-def _left(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A X_s for every stack member, as one GEMM: (X_s^T A^T)^T."""
-    return np.swapaxes(_right(np.swapaxes(x, 1, 2), a.T), 1, 2)
-
-
-def _ct(x: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of every stack member."""
-    return np.conj(np.swapaxes(x, 1, 2))
-
-
-def _congruence(factors) -> np.ndarray:
-    """Matrix of X -> sum_k A_k^H X A_k acting on row-major vec(X).
-
-    ``_vec_map`` applies it to a stack as one GEMM; its conjugate transpose
-    is the matrix of the adjoint map Y -> sum_k A_k Y A_k^H.
-    """
-    return sum(np.kron(np.conj(a), a) for a in factors)
-
-
-def _vec_map(x: np.ndarray, mat: np.ndarray, n: int) -> np.ndarray:
-    """Apply a linear map on row-major vec(X_s) to every stack member; n x n out."""
-    return (x.reshape(x.shape[0], -1) @ mat).reshape(x.shape[0], n, n)
-
-
-def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re Tr(A_s^H B_s) for each pair of stack members."""
-    return np.vecdot(a.reshape(a.shape[0], -1), b.reshape(b.shape[0], -1)).real
-
-
-def _frobenius_power(x: np.ndarray, shape) -> np.ndarray:
-    """||X||_F^2 for each stack member (the precoder power)."""
-    f = _as_stack(x, shape)
-    return _inner(f, f)
-
-
-def _relay_power(x: np.ndarray, shape, c1: np.ndarray) -> np.ndarray:
-    """Tr(P C1 P^H) for each stack member (the relay transmit power)."""
-    p = _as_stack(x, shape)
-    return _inner(p, _right(p, c1))
-
-
-def _precoder_parts(model: SystemModel, op: WeightingOperator):
-    """Shape of F and the batched map F -> (K F, Phi = (F^H K F + I)^{-1})."""
-    if op.n_streams != model.n_streams:
-        raise ShapeError("operator and model stream counts differ")
-    h = model.channel
-    k_gram = symmetrize(h.conj().T @ np.linalg.solve(model.noise_cov, h))
-    eye = np.eye(model.n_streams, dtype=np.complex128)
-
-    def lmmse(f):
-        kf = _left(k_gram, f)
-        return kf, np.linalg.inv(_ct(f) @ kf + eye)
-
-    return (model.n_tx, model.n_streams), lmmse
+def _logdet(psi: np.ndarray) -> np.ndarray:
+    """log det of each stack member; +inf where the determinant is not positive."""
+    sign, ld = np.linalg.slogdet(psi)
+    return np.where(np.real(sign) > 0.0, ld, np.inf)
 
 
 def trace_problem(model: SystemModel, op: WeightingOperator) -> SearchProblem:
     """Tr Psi(F) = Tr(W_gram Phi) + Tr Pi as a batched function of the precoder F."""
-    shape, lmmse = _precoder_parts(model, op)
-    pi_tr = float(np.real(np.trace(op.offset)))
-    w_gram = symmetrize(sum(w @ w.conj().T for w in op.weights))
-    w_vec = w_gram.reshape(-1)
+    check_streams(op, model)
+    k_gram = channel_gram(model)
 
-    def objective(x, with_state=False):
-        f = _as_stack(x, shape)
-        kf, phi = lmmse(f)
-        # Tr(W_gram Phi) = <W_gram, Phi>_F, as W_gram is Hermitian
-        out = pi_tr + np.real(np.vecdot(w_vec, phi.reshape(f.shape[0], -1)))
-        return (out, (kf, phi)) if with_state else out
+    def score(f):
+        kf, phi = lmmse_error(k_gram, f)
+        return op.psi_trace(phi), (kf, phi)
 
-    def gradient(x, state=None):
-        kf, phi = lmmse(_as_stack(x, shape)) if state is None else state
-        return -(_right(kf @ phi, w_gram) @ phi)
+    def grad(kf, phi):
+        return -(_right(kf @ phi, op.stream_gram) @ phi)
 
-    return SearchProblem(
-        shape=shape,
-        power=model.power,
-        objective=objective,
-        power_of=partial(_frobenius_power, shape=shape),
-        gradient=gradient,
-    )
+    return _search_problem((model.n_tx, model.n_streams), model.power, precoder_power, score, grad)
 
 
 def logdet_problem(model: SystemModel, op: WeightingOperator) -> SearchProblem:
     """log det Psi(F) as a batched function of the precoder F."""
-    shape, lmmse = _precoder_parts(model, op)
-    weigh = _congruence(op.weights)
-    weigh_adj = np.ascontiguousarray(weigh.conj().T)
+    check_streams(op, model)
+    k_gram = channel_gram(model)
 
-    def objective(x, with_state=False):
-        f = _as_stack(x, shape)
-        kf, phi = lmmse(f)
-        psi = _vec_map(phi, weigh, op.out_dim) + op.offset
-        sign, ld = np.linalg.slogdet(psi)
-        out = np.where(np.real(sign) > 0.0, ld, np.inf)
-        return (out, (kf, phi, psi)) if with_state else out
+    def score(f):
+        kf, phi = lmmse_error(k_gram, f)
+        psi = op.psi(phi)
+        return _logdet(psi), (kf, phi, psi)
 
-    def gradient(x, state=None):
-        if state is None:
-            _, state = objective(x, with_state=True)
-        kf, phi, psi = state
+    def grad(kf, phi, psi):
         # sum_k W_k Psi^{-1} W_k^H
-        mid = _vec_map(np.linalg.inv(psi), weigh_adj, model.n_streams)
-        return -(kf @ phi @ mid @ phi)
+        return -(kf @ phi @ op.adjoint(np.linalg.inv(psi)) @ phi)
 
-    return SearchProblem(
-        shape=shape,
-        power=model.power,
-        objective=objective,
-        power_of=partial(_frobenius_power, shape=shape),
-        gradient=gradient,
-    )
+    return _search_problem((model.n_tx, model.n_streams), model.power, precoder_power, score, grad)
 
 
-def _relay_parts(model: RelayModel):
-    """Shape of P, C1, S = H1 R_s, the batched map P -> (T, Z), and power_of."""
-    c1 = first_hop_gram(model)
-    s_map = model.channel1 @ model.source_cov  # n_relay_rx x n_src
-    h2 = model.channel2
-
-    def chain(p):
-        t = _left(h2, p)
-        bracket = _right(t, c1) @ _ct(t) + model.noise2_cov
-        return t, np.linalg.solve(bracket, t)
-
-    shape = (model.n_relay_tx, model.n_relay_rx)
-    power_of = partial(_relay_power, shape=shape, c1=c1)
-    return shape, c1, s_map, chain, power_of
-
-
-def _relay_gradient(model: RelayModel, c1: np.ndarray, zm: np.ndarray, g: np.ndarray):
+def _relay_gradient(model: RelayModel, zm: np.ndarray, g: np.ndarray):
     """Gradient H2^H (ZM G C1 - ZM) of a relay objective in P.
 
     ZM = Z M for the objective's middle factor M (Q for the sum-MSE,
     S Psi^{-1} S^H for log-det) and G = T^H Z.
     """
-    return _left(np.conj(model.channel2.T), _right(zm @ g, c1) - zm)
+    return _left(np.conj(model.channel2.T), _right(zm @ g, model.c1) - zm)
+
+
+def _relay_problem(model: RelayModel, score, grad) -> SearchProblem:
+    shape = (model.n_relay_tx, model.n_relay_rx)
+    return _search_problem(shape, model.power, lambda p: forwarding_power(model, p), score, grad)
 
 
 def relay_mse_problem(model: RelayModel) -> SearchProblem:
     """Tr Psi(P) through the relay chain as a batched function of P."""
-    shape, c1, s_map, chain, power_of = _relay_parts(model)
-    q_gram = symmetrize(s_map @ np.conj(s_map.T))
-    rs_tr = float(np.real(np.trace(model.source_cov)))
 
-    def objective(x, with_state=False):
-        p = _as_stack(x, shape)
-        t, z = chain(p)
-        out = rs_tr - _inner(t, _right(z, q_gram))  # Tr(S^H T^H B^{-1} T S)
-        return (out, (t, z)) if with_state else out
+    def score(p):
+        t, z = relay_chain(model, p)
+        return relay_trace(model, t, z), (t, z)
 
-    def gradient(x, state=None):
-        t, z = chain(_as_stack(x, shape)) if state is None else state
-        return _relay_gradient(model, c1, _right(z, q_gram), _ct(t) @ z)
+    def grad(t, z):
+        return _relay_gradient(model, _right(z, model.q_gram), _ct(t) @ z)
 
-    return SearchProblem(
-        shape=shape,
-        power=model.power,
-        objective=objective,
-        power_of=power_of,
-        gradient=gradient,
-    )
+    return _relay_problem(model, score, grad)
 
 
 def relay_logdet_problem(model: RelayModel) -> SearchProblem:
-    """log det Psi(P) through the relay chain (capacity = log det R_s - this).
+    """log det Psi(P) through the relay chain (capacity = log det R_s - this)."""
 
-    Psi = R_s - S^H G S with G = T^H B^{-1} T.
-    """
-    shape, c1, s_map, chain, power_of = _relay_parts(model)
-    fit = _congruence((s_map,))
-    fit_adj = np.ascontiguousarray(fit.conj().T)
+    def score(p):
+        t, z = relay_chain(model, p)
+        g, psi = relay_error(model, t, z)
+        return _logdet(psi), (z, g, psi)
 
-    def objective(x, with_state=False):
-        t, z = chain(_as_stack(x, shape))
-        g = _ct(t) @ z
-        psi = model.source_cov - _vec_map(g, fit, model.n_src)
-        sign, ld = np.linalg.slogdet(psi)
-        out = np.where(np.real(sign) > 0.0, ld, np.inf)
-        return (out, (z, g, psi)) if with_state else out
-
-    def gradient(x, state=None):
-        if state is None:
-            _, state = objective(x, with_state=True)
-        z, g, psi = state
+    def grad(z, g, psi):
         # S Psi^{-1} S^H
-        mid = _vec_map(np.linalg.inv(psi), fit_adj, model.n_relay_rx)
-        return _relay_gradient(model, c1, z @ mid, g)
+        return _relay_gradient(model, z @ model.s_congruence.adjoint(np.linalg.inv(psi)), g)
 
-    return SearchProblem(
-        shape=shape,
-        power=model.power,
-        objective=objective,
-        power_of=power_of,
-        gradient=gradient,
-    )
+    return _relay_problem(model, score, grad)
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +171,8 @@ def relay_logdet_problem(model: RelayModel) -> SearchProblem:
 
 def _project_to_budget(problem: SearchProblem, x: np.ndarray, boundary: bool = False) -> np.ndarray:
     """Rescale stack members exceeding the budget (or everything, to the boundary)."""
-    p = problem.power_of(x)
-    p = np.maximum(p, _POWER_FLOOR)
-    if boundary:
-        scale = np.sqrt(problem.power / p)
-    else:
-        scale = np.minimum(1.0, np.sqrt(problem.power / p))
-    return x * scale[:, None, None]
+    scale = np.sqrt(problem.power / np.maximum(problem.power_of(x), _POWER_FLOOR))
+    return x * (scale if boundary else np.minimum(1.0, scale))[:, None, None]
 
 
 def projected_gradient_descent(
@@ -314,8 +186,6 @@ def projected_gradient_descent(
     live (unfrozen) starts, and the gradient at an accepted candidate reuses
     the state its objective evaluation built.  Returns (values, points).
     """
-    if problem.gradient is None:
-        raise ShapeError("problem has no gradient; cannot refine")
     x = _project_to_budget(problem, np.array(starts, dtype=np.complex128))
     f, state = problem.objective(x, with_state=True)
     g = problem.gradient(x, state)
@@ -343,19 +213,14 @@ def projected_gradient_descent(
 
 
 def random_search_oracle(
-    problem: SearchProblem,
-    budget: int,
-    seed: int,
-    refinements: int = 100,
-    max_iter: int = 500,
-    extra_candidates=(),
+    problem: SearchProblem, budget: int, seed: int, refinements: int = 100
 ) -> float:
     """Best objective over boundary-scaled random candidates plus refinement.
 
     budget random matrices with unit-variance complex Gaussian entries are
     rescaled to the power boundary and scored in bulk; the best `refinements`
-    of them (plus any extra_candidates) seed the projected-gradient stage.
-    Returns the best feasible objective value found.
+    of them seed the projected-gradient stage.  Returns the best feasible
+    objective value found.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -363,14 +228,10 @@ def random_search_oracle(
     stream = SplitMix64(seed)
     x = stream.complex_normal_stack(budget, rows, cols)
     x = _project_to_budget(problem, x, boundary=True)
-    extras = [np.asarray(e, dtype=np.complex128)[None, :, :] for e in extra_candidates]
-    if extras:
-        x = np.concatenate([x] + extras, axis=0)
-        x = _project_to_budget(problem, x)
     values = problem.objective(x)
     best = float(np.min(values))
-    if problem.gradient is not None and refinements > 0:
+    if refinements > 0:
         order = np.argsort(values, kind="stable")[: min(refinements, x.shape[0])]
-        refined, _ = projected_gradient_descent(problem, x[order], max_iter=max_iter)
+        refined, _ = projected_gradient_descent(problem, x[order])
         best = min(best, float(np.min(refined)))
     return best

@@ -32,7 +32,7 @@ from .spectral import (
     ordered_svd,
     symmetrize,
 )
-from .weighting import WeightingOperator, weighted_mse_of_precoder
+from .weighting import WeightingOperator, check_streams, weighted_mse_of_precoder
 
 # the log-det solve stops once sum x is within this many ulps of the budget
 _WF_ULPS = 4
@@ -330,10 +330,7 @@ def assemble_precoder(spectrum: WhitenedChannel, gains, rotation) -> np.ndarray:
 def _weight_spectrum(op: WeightingOperator, model: SystemModel):
     if op.k != 1:
         raise Unsupported("closed-form designs cover a single weighting factor (K = 1)")
-    if op.n_streams != model.n_streams:
-        raise ShapeError(
-            f"operator expects {op.n_streams} streams but the model has {model.n_streams}"
-        )
+    check_streams(op, model)
     return op.weights[0]
 
 

@@ -13,6 +13,7 @@ Sub-stream layout: component c of trial t uses derive_seed(seed, t, c) with
 from __future__ import annotations
 
 import json
+import numbers
 import time
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
@@ -42,6 +43,7 @@ from .instances import (
     generate_relay,
     generate_system,
     generate_weighting,
+    is_integer,
     relay_from_json,
     system_from_json,
     weighting_from_json,
@@ -50,7 +52,6 @@ from .mimo import lmmse_equalizer, mse_matrix, transmit_power
 from .relay import (
     design_relay_capacity,
     design_relay_sum_mse,
-    first_hop_gram,
     forwarding_to_precoder,
     relay_capacity_routes,
     relay_to_weighted,
@@ -149,17 +150,16 @@ def build_config(data: dict, mode: Optional[str] = None, **overrides) -> Experim
     dims = check_dims(merged["dims"])
     if any(d > 64 for d in dims):
         raise ConfigError("dims: entries above 64 are not supported by the harness")
-    try:
-        power = float(merged["power"])
-    except (TypeError, ValueError):
-        raise ConfigError(f"power: expected a number, got {merged['power']!r}") from None
+    power = merged["power"]
+    if isinstance(power, bool) or not isinstance(power, numbers.Real):
+        raise ConfigError(f"power: expected a number, got {power!r}")
+    power = float(power)
     if not power > 0.0:
         raise ConfigError("power: must be positive")
     for key, lo in (("trials", 1), ("budget", 1), ("refinements", 0), ("seed", None)):
-        try:
-            merged[key] = int(merged[key])
-        except (TypeError, ValueError):
-            raise ConfigError(f"{key}: expected an integer, got {merged[key]!r}") from None
+        if not is_integer(merged[key]):
+            raise ConfigError(f"{key}: expected an integer, got {merged[key]!r}")
+        merged[key] = int(merged[key])
         if lo is not None and merged[key] < lo:
             raise ConfigError(f"{key}: must be >= {lo}")
     tol = merged.get("tolerances", {})
@@ -428,9 +428,7 @@ def _run_verify_equivalence(cfg: ExperimentConfig) -> tuple[list, dict]:
         sysmodel, op = relay_to_weighted(relay)
         probe = SplitMix64(derive_seed(cfg.seed, trial, TAG_PROBE))
         fwd = probe.complex_normal(relay.n_relay_tx, relay.n_relay_rx)
-        c1 = first_hop_gram(relay)
-        scale = np.sqrt(relay.power / max(float(np.real(np.trace(fwd @ c1 @ fwd.conj().T))), 1e-300))
-        fwd = fwd * scale
+        fwd = fwd * np.sqrt(relay.power / max(relay_transmit_power(relay, fwd), 1e-300))
 
         psi_relay = relay_weighted_mse(relay, fwd)
         f_mapped = forwarding_to_precoder(relay, fwd)

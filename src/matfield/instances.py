@@ -33,15 +33,22 @@ def _pd_cov(stream: SplitMix64, n: int) -> np.ndarray:
     return symmetrize(b.conj().T @ b + _COV_RIDGE * np.eye(n))
 
 
+def is_integer(value) -> bool:
+    """True for an integer or an integral float; False for a bool, a string or 2.7."""
+    if isinstance(value, (int, np.integer)):
+        return not isinstance(value, bool)
+    return isinstance(value, float) and value.is_integer()
+
+
 def check_dims(dims) -> tuple[int, int, int, int]:
     """The quadruple (n_tx, n_rx, n_streams, m) as ints; ConfigError unless four positive integers."""
     try:
-        t = tuple(int(d) for d in dims)
-    except (TypeError, ValueError):
-        raise ConfigError(f"dims: expected four integers, got {dims!r}") from None
-    if len(t) != 4 or any(d < 1 for d in t):
+        t = tuple(dims)
+    except TypeError:
+        t = ()
+    if len(t) != 4 or not all(map(is_integer, t)) or min(t) < 1:
         raise ConfigError(f"dims: expected four positive integers, got {dims!r}")
-    return t
+    return tuple(map(int, t))
 
 
 def generate_system(seed: int, dims, power: float) -> SystemModel:

@@ -6,7 +6,8 @@ covariance of the estimate G(HFs + n) is
 
     Phi(G, F) = (GHF - I)(GHF - I)^H + G R_n G^H,
 
-and the MMSE-optimal equalizer minimizes Phi in the Loewner order.
+and the MMSE-optimal equalizer minimizes Phi in the Loewner order; there
+Phi(F) = (F^H K F + I)^{-1} with K = H^H R_n^{-1} H (``lmmse_error``).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidWeight, NotPD, NumericalError, ShapeError
-from .spectral import as_matrix, hermitize, symmetrize
+from .spectral import _ct, _inner, _left, as_matrix, as_shaped, hermitize, symmetrize
 
 # relative slack on Tr(F F^H) <= P accepted as feasible
 POWER_RTOL = 1e-9
@@ -64,33 +65,35 @@ class SystemModel:
         return self.channel.shape[1]
 
 
+def channel_gram(model: SystemModel) -> np.ndarray:
+    """K = H^H R_n^{-1} H (n_tx x n_tx)."""
+    h = model.channel
+    return symmetrize(h.conj().T @ np.linalg.solve(model.noise_cov, h))
+
+
+def precoder_power(f: np.ndarray) -> np.ndarray:
+    """Tr(F F^H) of one precoder or of each member of a stack."""
+    return _inner(f, f)
+
+
+def lmmse_error(k_gram: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(K F, Phi(F) = (F^H K F + I)^{-1}) for one precoder or a stack of them."""
+    kf = _left(k_gram, f)
+    return kf, np.linalg.inv(_ct(f) @ kf + np.eye(f.shape[-1], dtype=np.complex128))
+
+
 def transmit_power(precoder) -> float:
     """Tr(F F^H) = squared Frobenius norm of the precoder."""
-    f = as_matrix(precoder)
-    return float(np.sum(np.abs(f) ** 2))
+    return float(precoder_power(as_matrix(precoder)))
 
 
 def _check_precoder(model: SystemModel, precoder) -> np.ndarray:
-    f = as_matrix(precoder)
-    if f.shape != (model.n_tx, model.n_streams):
-        raise ShapeError(
-            f"precoder must be {(model.n_tx, model.n_streams)}, got {f.shape}"
-        )
-    return f
-
-
-def _check_equalizer(model: SystemModel, equalizer) -> np.ndarray:
-    g = as_matrix(equalizer)
-    if g.shape != (model.n_streams, model.n_rx):
-        raise ShapeError(
-            f"equalizer must be {(model.n_streams, model.n_rx)}, got {g.shape}"
-        )
-    return g
+    return as_shaped(precoder, (model.n_tx, model.n_streams), "precoder")
 
 
 def mse_matrix(model: SystemModel, equalizer, precoder) -> np.ndarray:
     """Error covariance Phi(G, F) for an arbitrary linear equalizer G."""
-    g = _check_equalizer(model, equalizer)
+    g = as_shaped(equalizer, (model.n_streams, model.n_rx), "equalizer")
     f = _check_precoder(model, precoder)
     e = g @ model.channel @ f - np.eye(model.n_streams, dtype=np.complex128)
     phi = e @ e.conj().T + g @ model.noise_cov @ g.conj().T
@@ -116,18 +119,10 @@ def mse_lmmse(model: SystemModel, precoder) -> np.ndarray:
     covariance that dominates this one in the Loewner order.
     """
     f = _check_precoder(model, precoder)
-    hf = model.channel @ f
     try:
-        x = np.linalg.solve(model.noise_cov, hf)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"noise covariance solve failed: {exc}") from None
-    k = symmetrize(hf.conj().T @ x)
-    n = model.n_streams
-    try:
-        phi = np.linalg.solve(k + np.eye(n, dtype=np.complex128), np.eye(n, dtype=np.complex128))
+        return symmetrize(lmmse_error(channel_gram(model), f)[1])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"MSE matrix solve failed: {exc}") from None
-    return symmetrize(phi)
 
 
 def classical_weighted_mse(model: SystemModel, equalizer, precoder, weights) -> float:

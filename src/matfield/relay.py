@@ -13,18 +13,24 @@ channel H2, noise R_n2, precoder F = P C1^{1/2}, one weighting factor
 W = C1^{-1/2} H1 R_s, and offset Pi = R_s - W^H W (the first-hop LMMSE
 error covariance).  The relay power Tr(P C1 P^H) equals Tr(F F^H), so both
 structured designs transfer verbatim.
+
+The chain kernels take one forwarding matrix or a stack: with T = H2 P,
+B = T C1 T^H + R_n2, Z = B^{-1} T, G = T^H Z and S = H1 R_s, Psi(P) =
+R_s - S^H G S (``relay_error``) and Tr Psi = Tr R_s - Re Tr(T^H Z S S^H).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .design import PrecoderDesign, design_det_min, design_trace_min
 from .errors import NotPD, NumericalError, ShapeError
 from .mimo import SystemModel
-from .spectral import as_matrix, hermitian_sqrt, hermitize, inv_sqrt_pd, logdet_pd, symmetrize
+from .spectral import Congruence, _ct, _inner, _left, _right, as_matrix, as_shaped
+from .spectral import hermitian_sqrt, hermitize, inv_sqrt_pd, logdet_pd, symmetrize
 from .weighting import WeightingOperator
 
 
@@ -38,6 +44,8 @@ class RelayModel:
     noise1_cov : n_relay_rx x n_relay_rx, strictly positive definite R_n1
     noise2_cov : n_dst x n_dst, strictly positive definite R_n2
     power      : relay budget, Tr(P C1 P^H) <= power
+
+    Construction also sets c1 (C1 = first_hop_gram) and s_congruence.
     """
 
     channel1: np.ndarray
@@ -74,6 +82,10 @@ class RelayModel:
         object.__setattr__(self, "noise1_cov", r1)
         object.__setattr__(self, "noise2_cov", r2)
         object.__setattr__(self, "power", float(self.power))
+        # derived matrices of the chain kernels: C1 and the congruence
+        # G -> S^H G S with S = H1 R_s (n_relay_rx x n_src), and its adjoint
+        object.__setattr__(self, "c1", first_hop_gram(self))
+        object.__setattr__(self, "s_congruence", Congruence((h1 @ rs,)))
 
     @property
     def n_src(self) -> int:
@@ -91,6 +103,16 @@ class RelayModel:
     def n_dst(self) -> int:
         return self.channel2.shape[0]
 
+    @cached_property
+    def q_gram(self) -> np.ndarray:
+        """Q = S S^H with S = H1 R_s."""
+        s_map = self.s_congruence.factors[0]
+        return symmetrize(s_map @ np.conj(s_map.T))
+
+    @cached_property
+    def _source_trace(self) -> float:
+        return float(np.real(np.trace(self.source_cov)))
+
 
 def first_hop_gram(model: RelayModel) -> np.ndarray:
     """C1 = H1 R_s H1^H + R_n1, the relay-input covariance (always PD)."""
@@ -99,19 +121,35 @@ def first_hop_gram(model: RelayModel) -> np.ndarray:
 
 
 def _check_forwarding(model: RelayModel, forwarding) -> np.ndarray:
-    p = as_matrix(forwarding)
-    if p.shape != (model.n_relay_tx, model.n_relay_rx):
-        raise ShapeError(
-            f"forwarding matrix must be {(model.n_relay_tx, model.n_relay_rx)}, got {p.shape}"
-        )
-    return p
+    return as_shaped(forwarding, (model.n_relay_tx, model.n_relay_rx), "forwarding matrix")
+
+
+def forwarding_power(model: RelayModel, p: np.ndarray) -> np.ndarray:
+    """Tr(P C1 P^H) of one forwarding matrix or of each member of a stack."""
+    return _inner(p, _right(p, model.c1))
+
+
+def relay_chain(model: RelayModel, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(T = H2 P, Z = B^{-1} T) for one forwarding matrix or a stack of them."""
+    t = _left(model.channel2, p)
+    bracket = _right(t, model.c1) @ _ct(t) + model.noise2_cov
+    return t, np.linalg.solve(bracket, t)
+
+
+def relay_error(model: RelayModel, t: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(G = T^H Z, Psi = R_s - S^H G S) from the chain of one P or a stack."""
+    g = _ct(t) @ z
+    return g, model.source_cov - model.s_congruence(g)
+
+
+def relay_trace(model: RelayModel, t: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Tr Psi = Tr R_s - Re Tr(T^H Z Q), Q = S S^H, from the chain of one P or a stack."""
+    return model._source_trace - _inner(t, _right(z, model.q_gram))
 
 
 def relay_transmit_power(model: RelayModel, forwarding) -> float:
     """Average relay transmit power Tr(P C1 P^H)."""
-    p = _check_forwarding(model, forwarding)
-    c1 = first_hop_gram(model)
-    return float(np.real(np.trace(p @ c1 @ p.conj().T)))
+    return float(forwarding_power(model, _check_forwarding(model, forwarding)))
 
 
 def relay_to_weighted(model: RelayModel) -> tuple[SystemModel, WeightingOperator]:
@@ -121,7 +159,7 @@ def relay_to_weighted(model: RelayModel) -> tuple[SystemModel, WeightingOperator
     is rebuilt from its eigendecomposition only when rounding left a
     slightly negative eigenvalue (floor -1e-12 * Tr).
     """
-    c1 = first_hop_gram(model)
+    c1 = model.c1
     c1_inv_sqrt = inv_sqrt_pd(c1)
     h1rs = model.channel1 @ model.source_cov
     w = c1_inv_sqrt @ h1rs
@@ -149,48 +187,45 @@ def relay_to_weighted(model: RelayModel) -> tuple[SystemModel, WeightingOperator
 
 def precoder_to_forwarding(model: RelayModel, precoder) -> np.ndarray:
     """P = F C1^{-1/2}; preserves the power, Tr(P C1 P^H) = Tr(F F^H)."""
-    f = as_matrix(precoder)
-    if f.shape != (model.n_relay_tx, model.n_relay_rx):
-        raise ShapeError(
-            f"precoder must be {(model.n_relay_tx, model.n_relay_rx)}, got {f.shape}"
-        )
-    return f @ inv_sqrt_pd(first_hop_gram(model))
+    f = as_shaped(precoder, (model.n_relay_tx, model.n_relay_rx), "precoder")
+    return f @ inv_sqrt_pd(model.c1)
 
 
 def forwarding_to_precoder(model: RelayModel, forwarding) -> np.ndarray:
     """Inverse map F = P C1^{1/2} of precoder_to_forwarding."""
     p = _check_forwarding(model, forwarding)
-    return p @ hermitian_sqrt(first_hop_gram(model))
+    return p @ hermitian_sqrt(model.c1)
 
 
 def relay_weighted_mse(model: RelayModel, forwarding) -> np.ndarray:
     """End-to-end LMMSE error covariance Psi(P) computed through the chain."""
     p = _check_forwarding(model, forwarding)
-    c1 = first_hop_gram(model)
-    t = model.channel2 @ p
-    bracket = symmetrize(t @ c1 @ t.conj().T + model.noise2_cov)
-    a2 = t @ model.channel1 @ model.source_cov
     try:
-        x = np.linalg.solve(bracket, a2)
+        t, z = relay_chain(model, p)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - bracket is PD
         raise NumericalError(f"relay bracket solve failed: {exc}") from None
-    return symmetrize(model.source_cov - a2.conj().T @ x)
+    return symmetrize(relay_error(model, t, z)[1])
 
 
 def relay_capacity_routes(model: RelayModel, forwarding) -> tuple[float, float]:
     """The chain mutual information by two routes, (cap_err, cap_mi).
 
     cap_err = log det R_s - log det Psi(P) goes through the error covariance;
-    cap_mi = log det(A R_s A^H C^{-1} + I) with A = H2 P H1 and
-    C = H2 P R_n1 P^H H2^H + R_n2 is the direct form.
+    cap_mi = log det(I + B^H B) is the direct form log det(I + A R_s A^H C^{-1})
+    whitened by Cholesky factors, B = L_C^{-1} A L_s, with A = H2 P H1 and
+    C = H2 P R_n1 P^H H2^H + R_n2; unlike log det(C + A R_s A^H) - log det C it
+    does not cancel when the destination is wider than the signal rank.
     """
     p = _check_forwarding(model, forwarding)
     cap_err = logdet_pd(model.source_cov) - logdet_pd(relay_weighted_mse(model, p))
     t = model.channel2 @ p
-    a = t @ model.channel1
     c = symmetrize(t @ model.noise1_cov @ t.conj().T + model.noise2_cov)
-    m = symmetrize(a @ model.source_cov @ a.conj().T)
-    return cap_err, logdet_pd(c + m) - logdet_pd(c)
+    try:
+        a_ls = t @ model.channel1 @ np.linalg.cholesky(model.source_cov)
+        b = np.linalg.solve(np.linalg.cholesky(c), a_ls)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - C and R_s are PD
+        raise NumericalError(f"capacity whitening failed: {exc}") from None
+    return cap_err, logdet_pd(np.eye(model.n_src) + symmetrize(b.conj().T @ b))
 
 
 def relay_capacity(model: RelayModel, forwarding) -> float:

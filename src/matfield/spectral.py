@@ -4,7 +4,8 @@ Ordered singular/eigen decompositions with a fixed tie-break and phase
 convention, Hermitian square roots, PSD tests, log-determinants, and
 Loewner-order comparisons.  Everything downstream (model, design, relay)
 leans on these conventions, so repeated calls on identical input bytes
-must return identical factors.
+must return identical factors.  The model layer's formulas are written in
+the stack kernels at the end.
 
 Conventions:
   * singular values / eigenvalues are sorted (default: decreasing) with a
@@ -20,6 +21,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +45,14 @@ def as_matrix(a) -> np.ndarray:
         raise InvalidMatrix(f"expected a 2-D matrix, got ndim={m.ndim}")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise InvalidMatrix("matrix contains NaN or Inf entries")
+    return m
+
+
+def as_shaped(a, shape: tuple, name: str) -> np.ndarray:
+    """as_matrix(a), raising ShapeError unless it has the given shape."""
+    m = as_matrix(a)
+    if m.shape != shape:
+        raise ShapeError(f"{name} must be {shape}, got {m.shape}")
     return m
 
 
@@ -220,3 +230,63 @@ def loewner_leq(a, b, tol: float = 1e-8) -> bool:
         return True
     scale = max(1.0, float(np.abs(w).max()))
     return bool(w.min() >= -tol * scale)
+
+
+# ---------------------------------------------------------------------------
+# stack kernels: one matrix or a (batch, rows, cols) stack.  A product with a
+# fixed matrix is one GEMM over the stack reshaped to (batch * rows, cols);
+# only products of two stack members and inverses go member by member.  numpy
+# multiplies a one-row operand through gemv or dot instead of gemm, so a
+# member computed alone may differ in the last bits from one in a stack.
+
+
+def _right(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """X A for one matrix or every stack member, as one GEMM over the stacked rows."""
+    return (x.reshape(-1, x.shape[-1]) @ a).reshape(x.shape[:-1] + (a.shape[-1],))
+
+
+def _left(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A X for one matrix or every stack member, as one GEMM: (X^T A^T)^T."""
+    if x.ndim == 2:
+        return a @ x
+    return _right(x.swapaxes(1, 2), a.T).swapaxes(1, 2)
+
+
+def _ct(x: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of one matrix or every stack member."""
+    return x.conj().swapaxes(-1, -2)
+
+
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re Tr(A^H B) for one pair of matrices or each pair of stack members."""
+    return np.vecdot(a.reshape(a.shape[:-2] + (-1,)), b.reshape(b.shape[:-2] + (-1,))).real
+
+
+class Congruence:
+    """The map X -> sum_k A_k^H X A_k and its adjoint Y -> sum_k A_k Y A_k^H.
+
+    A single matrix goes through the factors.  A stack, of any size, is one
+    GEMM of each member's row-major vec with sum_k kron(conj A_k, A_k) (or its
+    conjugate transpose), built on the first stack: one-matrix calls never
+    build that (rows * cols)^2 matrix.
+    """
+
+    def __init__(self, factors):
+        self.factors = tuple(factors)
+
+    @cached_property
+    def _vec(self) -> tuple[np.ndarray, np.ndarray]:
+        fwd = sum(np.kron(np.conj(a), a) for a in self.factors)
+        return fwd, np.ascontiguousarray(fwd.conj().T)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        if x.ndim == 2:
+            return sum(a.conj().T @ x @ a for a in self.factors)
+        n = self.factors[0].shape[1]
+        return (x.reshape(x.shape[0], -1) @ self._vec[0]).reshape(x.shape[0], n, n)
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        if y.ndim == 2:
+            return sum(a @ y @ a.conj().T for a in self.factors)
+        n = self.factors[0].shape[0]
+        return (y.reshape(y.shape[0], -1) @ self._vec[1]).reshape(y.shape[0], n, n)

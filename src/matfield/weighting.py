@@ -8,17 +8,20 @@ with rectangular factors W_k (n_streams x m) and a Hermitian PSD offset Pi
 (m x m).  The map is linear in Phi up to the constant offset, preserves the
 Loewner order, and subsumes the classical diagonal weighted-MSE objective
 (one factor W = diag(sqrt(w)), Pi = 0).
+The operator's ``psi``, ``psi_trace`` and ``adjoint`` take one matrix or a
+stack; Tr Psi(Phi) = Tr(Phi sum_k W_k W_k^H) + Tr Pi uses the stream-side Gram.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidWeight, NotPSD, PreconditionError, ShapeError
 from .mimo import SystemModel, mse_lmmse
-from .spectral import as_matrix, eigs_are_psd, hermitize, loewner_leq, symmetrize
+from .spectral import Congruence, as_matrix, eigs_are_psd, hermitize, loewner_leq, symmetrize
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,6 +48,7 @@ class WeightingOperator:
             raise NotPSD("offset matrix Pi must be positive semi-definite")
         object.__setattr__(self, "weights", ws)
         object.__setattr__(self, "offset", pi)
+        object.__setattr__(self, "_congruence", Congruence(ws))
 
     @property
     def k(self) -> int:
@@ -65,17 +69,34 @@ class WeightingOperator:
             raise ShapeError(
                 f"operator acts on {self.n_streams}x{self.n_streams} matrices, got {p.shape}"
             )
-        out = self.offset.astype(np.complex128, copy=True)
-        for w in self.weights:
-            out = out + w.conj().T @ p @ w
-        return symmetrize(out)
+        return symmetrize(self.psi(p))
+
+    @cached_property
+    def _offset_trace(self) -> float:
+        return float(np.real(np.trace(self.offset)))
+
+    @cached_property
+    def stream_gram(self) -> np.ndarray:
+        """sum_k W_k W_k^H (n_streams x n_streams), built once per operator."""
+        return symmetrize(sum(w @ w.conj().T for w in self.weights))
+
+    def psi(self, phi: np.ndarray) -> np.ndarray:
+        """sum_k W_k^H Phi W_k + Pi of one matrix or each stack member, unchecked."""
+        return self._congruence(phi) + self.offset
+
+    def psi_trace(self, phi: np.ndarray) -> np.ndarray:
+        """Tr Psi(Phi) of one Hermitian Phi or each stack member, unchecked."""
+        # Tr(W_gram Phi) = <W_gram, Phi>_F, as W_gram is Hermitian
+        flat = phi.reshape(phi.shape[:-2] + (-1,))
+        return self._offset_trace + np.real(np.vecdot(self.stream_gram.reshape(-1), flat))
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        """sum_k W_k Y W_k^H of one matrix or each stack member, unchecked."""
+        return self._congruence.adjoint(y)
 
     def factor_gram(self) -> np.ndarray:
         """sum_k W_k^H W_k, the image of the identity minus the offset."""
-        out = np.zeros((self.out_dim, self.out_dim), dtype=np.complex128)
-        for w in self.weights:
-            out = out + w.conj().T @ w
-        return symmetrize(out)
+        return symmetrize(self._congruence(np.eye(self.n_streams)))
 
 
 def from_classical_weights(weights) -> WeightingOperator:
@@ -92,12 +113,17 @@ def from_classical_weights(weights) -> WeightingOperator:
     )
 
 
-def weighted_mse_of_precoder(op: WeightingOperator, model: SystemModel, precoder) -> np.ndarray:
-    """Weighted error covariance at the MMSE equalizer for a given precoder."""
+def check_streams(op: WeightingOperator, model: SystemModel) -> None:
+    """ShapeError unless the operator acts on the model's n_streams x n_streams Phi."""
     if op.n_streams != model.n_streams:
         raise ShapeError(
             f"operator expects {op.n_streams} streams but the model has {model.n_streams}"
         )
+
+
+def weighted_mse_of_precoder(op: WeightingOperator, model: SystemModel, precoder) -> np.ndarray:
+    """Weighted error covariance at the MMSE equalizer for a given precoder."""
+    check_streams(op, model)
     return op.apply(mse_lmmse(model, precoder))
 
 

@@ -4,8 +4,16 @@ import numpy as np
 import pytest
 
 from matfield import design_relay_sum_mse, design_trace_min, design_det_min
-from matfield.mimo import transmit_power
-from matfield.relay import relay_transmit_power, relay_weighted_mse
+from matfield.mimo import channel_gram, lmmse_error, precoder_power, transmit_power
+from matfield.relay import (
+    forwarding_power,
+    relay_chain,
+    relay_error,
+    relay_trace,
+    relay_transmit_power,
+    relay_weighted_mse,
+)
+from matfield.spectral import Congruence
 from matfield.weighting import weighted_mse_of_precoder
 from matfield.baselines import (
     logdet_problem,
@@ -88,7 +96,9 @@ def test_oracle_with_planted_optimum_has_zero_gap():
     op = helpers.random_operator(gen, n_streams=2, m=2)
     d = design_trace_min(m, op)
     problem = trace_problem(m, op)
-    found = random_search_oracle(problem, budget=1, seed=0, refinements=0, extra_candidates=(d.precoder,))
+    # the design precoder, scored through the oracle's objective, is the best candidate
+    planted = problem.objective(d.precoder)[0]
+    found = min(random_search_oracle(problem, budget=1, seed=0, refinements=0), planted)
     assert abs(found - d.objective_value) < 1e-10 * max(1.0, d.objective_value)
 
 
@@ -206,3 +216,75 @@ def test_objectives_match_model_layer(case):
         np.testing.assert_allclose(logdet_p.objective(x), want_logdet, rtol=1e-12, atol=1e-12)
         for problem in (trace_p, logdet_p):
             np.testing.assert_allclose(problem.power_of(x), [power(xi) for xi in x], rtol=1e-12)
+
+
+def assert_stack_matches_members(kernel, stack, rtol=1e-13):
+    """kernel(stack) agrees with the kernel on each member alone and as a one-member stack.
+
+    A member alone (a 2-D matrix) takes a kernel's one-matrix path, so the
+    congruence's factor products are checked against its Kronecker GEMM.
+    """
+    whole = kernel(stack)
+    whole = whole if isinstance(whole, tuple) else (whole,)
+    for i in range(stack.shape[0]):
+        for member in (stack[i], stack[i : i + 1]):
+            got = kernel(member)
+            got = got if isinstance(got, tuple) else (got,)
+            for g, w in zip(got, whole, strict=True):
+                g = g[0] if member.ndim == 3 else g
+                assert np.shape(g) == np.shape(w[i])
+                assert helpers.rel_err(g, w[i]) < rtol
+
+
+def hermitian_stack(gen, n, count=4):
+    return np.stack([helpers.random_pd(gen, n) for _ in range(count)])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_point_kernels_on_a_stack_match_its_members(case, k):
+    (n_tx, n_rx, n_streams, m, _), _ = CASES[case]
+    gen = helpers.rng(16)
+    model = helpers.random_system(gen, n_tx, n_rx, n_streams, 4.0)
+    op = helpers.random_operator(gen, n_streams=n_streams, m=m, k=k)
+    f = np.stack([helpers.crandn(gen, n_tx, n_streams) for _ in range(4)])
+    assert_stack_matches_members(lambda x: lmmse_error(channel_gram(model), x), f)
+    assert_stack_matches_members(precoder_power, f)
+    phi = hermitian_stack(gen, n_streams)
+    assert_stack_matches_members(op.psi, phi)
+    assert_stack_matches_members(op.psi_trace, phi)
+    assert_stack_matches_members(op.adjoint, hermitian_stack(gen, m))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_relay_kernels_on_a_stack_match_its_members(case):
+    _, relay_dims = CASES[case]
+    gen = helpers.rng(17)
+    relay = helpers.random_relay(gen, *relay_dims, 4.0)
+    p = np.stack([helpers.crandn(gen, relay.n_relay_tx, relay.n_relay_rx) for _ in range(4)])
+    assert_stack_matches_members(lambda x: forwarding_power(relay, x), p)
+    assert_stack_matches_members(lambda x: relay_chain(relay, x), p)
+    assert_stack_matches_members(lambda x: relay_error(relay, *relay_chain(relay, x)), p)
+    assert_stack_matches_members(lambda x: relay_trace(relay, *relay_chain(relay, x)), p)
+    assert_stack_matches_members(relay.s_congruence.adjoint, hermitian_stack(gen, relay.n_src))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (1, 1)])
+def test_congruence_takes_the_kronecker_gemm_only_for_stacks(shape, k):
+    gen = helpers.rng(18)
+    factors = [helpers.crandn(gen, *shape) for _ in range(k)]
+    x = hermitian_stack(gen, shape[0])
+    y = hermitian_stack(gen, shape[1])
+    single = Congruence(factors)
+    for i in range(x.shape[0]):
+        want = sum(a.conj().T @ x[i] @ a for a in factors)
+        assert helpers.rel_err(single(x[i]), want) < 1e-13
+        want = sum(a @ y[i] @ a.conj().T for a in factors)
+        assert helpers.rel_err(single.adjoint(y[i]), want) < 1e-13
+    # one-matrix calls never build the (rows * cols)^2 matrix of the map
+    assert "_vec" not in vars(single)
+    stacked = Congruence(factors)
+    assert_stack_matches_members(stacked, x)
+    assert_stack_matches_members(stacked.adjoint, y)
+    assert "_vec" in vars(stacked)

@@ -96,6 +96,24 @@ def test_unknown_field_exits_two(tmp_path, capsys):
     assert "wat" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("dims", [2.7, 2, 2, 2]),
+        ("dims", [True, 2, 2, 2]),
+        ("trials", 2.9),
+        ("budget", True),
+        ("refinements", 1.5),
+        ("seed", 1.5),
+        ("power", True),
+    ],
+)
+def test_non_integral_or_boolean_number_exits_two(tmp_path, capsys, field, value):
+    cfg = write_config(tmp_path, {"trials": 1, "budget": 10, "refinements": 1, field: value})
+    assert main(["design-trace", "--config", cfg]) == 2
+    assert f"config error: {field}:" in capsys.readouterr().err
+
+
 def test_numerical_error_exits_three(tmp_path, capsys):
     one = [[[1.0, 0.0]]]
     zero = [[[0.0, 0.0]]]

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from matfield import ConfigError, NumericalError
+from matfield import ConfigError
 from matfield.experiments import (
     DEFAULT_TOLERANCES,
     MODES,
@@ -50,6 +50,16 @@ def test_build_config_rejects_bad_input():
         build_config({"tolerances": {"optimality_gap": -1.0}}, mode="design-trace")
     with pytest.raises(ConfigError, match="jitter_pi"):
         build_config({"jitter_pi": "yes"}, mode="design-trace")
+
+
+def test_build_config_does_not_truncate_numbers():
+    data = {"dims": [2.7, 2, 2, 2], "trials": 2.9, "budget": True, "seed": 1.5}
+    for key in data:
+        with pytest.raises(ConfigError, match=key):
+            build_config({key: data[key]}, mode="design-trace")
+    # integral floats are integers
+    cfg = build_config({"dims": [3.0, 2, 2, 2], "trials": 2.0}, mode="design-trace")
+    assert cfg.dims == (3, 2, 2, 2) and cfg.trials == 2 and type(cfg.trials) is int
 
 
 def test_load_config_file_reports_position(tmp_path):
@@ -98,8 +108,8 @@ def test_reports_are_deterministic_modulo_walltime(mode):
 GOLDEN_ORACLE = {
     "design-trace": [(4.817040411704237, -8.881784197001252e-16)],
     "design-det": [(1.4147404404640478, -4.440892098500626e-16)],
-    "relay-mse": [(1.8744069520422357, 0.004861174417004621)],
-    "relay-capacity": [(1.4360262679335987, 0.002438858797668253)],
+    "relay-mse": [(1.8744069520422357, 0.004861174417005509)],
+    "relay-capacity": [(1.4360262679335987, 0.0024388587976709175)],
     "oracle-compare": [
         (4.817040411704237, -8.881784197001252e-16),
         (1.4147404404640478, -4.440892098500626e-16),
@@ -242,12 +252,6 @@ def test_design_modes_hold_at_extreme_noise(mode, scale):
     assert_report_passes(run(build_config(data, mode=mode)))
 
 
-@pytest.mark.xfail(
-    raises=NumericalError,
-    strict=True,
-    reason="relay_capacity's two routes disagree at large budgets when the destination is "
-    "wider than the signal rank (CHANGES.md FOUND line on relay_capacity)",
-)
 def test_relay_capacity_wide_destination_at_huge_budget():
     cfg = build_config(
         {"trials": 1, "budget": 50, "refinements": 2, "power": 1e12, "dims": [3, 3, 2, 2]},
