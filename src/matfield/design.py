@@ -62,6 +62,10 @@ class PrecoderDesign:
     objective_value : objective evaluated at the assembled precoder
     multiplier      : water-level dual variable of the power constraint
     offset          : the offset Pi the design used (jittered when regularized)
+    weight_eigs     : n_streams squared singular values of W (trace) or theta
+                      eigenvalues (log-det), decreasing, zero padded
+    channel_eigs    : the n_streams whitened channel eigenvalues paired with them;
+                      the water-filler takes the first min(n_tx, n_streams) of both
     """
 
     channel_basis: np.ndarray
@@ -71,6 +75,8 @@ class PrecoderDesign:
     objective_value: float
     multiplier: float
     offset: np.ndarray
+    weight_eigs: np.ndarray
+    channel_eigs: np.ndarray
 
 
 def whiten_channel(model: SystemModel) -> WhitenedChannel:
@@ -275,29 +281,25 @@ def waterfill_logdet(theta_eigs, channel_eigs, power: float) -> tuple[np.ndarray
     return x, 1.0 / (lam_on[last] + v * v)
 
 
-def trace_kkt_residual(weight_eigs, channel_eigs, gains_sq, mu: float) -> float:
-    """Max relative stationarity residual over active modes of waterfill_trace."""
-    a = np.asarray(weight_eigs, dtype=np.float64)
-    b = np.asarray(channel_eigs, dtype=np.float64)
-    x = np.asarray(gains_sq, dtype=np.float64)
+def _kkt_residual(a, b, x, mu: float, logdet: bool) -> float:
+    """Max relative gap of the active modes' marginal gains from mu."""
+    a, b, x = (np.asarray(v, dtype=np.float64) for v in (a, b, x))
     active = (x > 0.0) & (a * b > 0.0)
     if not np.any(active) or mu <= 0.0:
         return 0.0
-    grad = a[active] * b[active] / (1.0 + b[active] * x[active]) ** 2
+    a, b, t = a[active], b[active], 1.0 + b[active] * x[active]
+    grad = a * b / (t * (t + a) if logdet else t**2)
     return float(np.max(np.abs(grad - mu)) / mu)
+
+
+def trace_kkt_residual(weight_eigs, channel_eigs, gains_sq, mu: float) -> float:
+    """Max relative stationarity residual over active modes of waterfill_trace."""
+    return _kkt_residual(weight_eigs, channel_eigs, gains_sq, mu, logdet=False)
 
 
 def logdet_kkt_residual(theta_eigs, channel_eigs, gains_sq, mu: float) -> float:
     """Max relative stationarity residual over active modes of waterfill_logdet."""
-    a = np.asarray(theta_eigs, dtype=np.float64)
-    b = np.asarray(channel_eigs, dtype=np.float64)
-    x = np.asarray(gains_sq, dtype=np.float64)
-    active = (x > 0.0) & (a * b > 0.0)
-    if not np.any(active) or mu <= 0.0:
-        return 0.0
-    t = 1.0 + b[active] * x[active]
-    grad = a[active] * b[active] / (t * (t + a[active]))
-    return float(np.max(np.abs(grad - mu)) / mu)
+    return _kkt_residual(theta_eigs, channel_eigs, gains_sq, mu, logdet=True)
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +329,37 @@ def assemble_precoder(spectrum: WhitenedChannel, gains, rotation) -> np.ndarray:
     return v @ lam @ u.conj().T
 
 
-def _weight_spectrum(op: WeightingOperator, model: SystemModel):
+def _weight_factor(op: WeightingOperator, model: SystemModel) -> np.ndarray:
     if op.k != 1:
         raise Unsupported("closed-form designs cover a single weighting factor (K = 1)")
     check_streams(op, model)
     return op.weights[0]
+
+
+def _padded(values: np.ndarray, n: int) -> np.ndarray:
+    return np.concatenate([values[:n], np.zeros(max(0, n - values.size))])
+
+
+def _structured_design(model, op, weight_eigs, rotation, waterfill, objective) -> PrecoderDesign:
+    """Whiten the channel, water-fill the paired spectra, assemble F, evaluate objective(Psi)."""
+    spectrum = whiten_channel(model)
+    lam_w = _padded(weight_eigs, model.n_streams)
+    lam_h = _padded(spectrum.eigenvalues, model.n_streams)
+    n_modes = min(model.n_tx, model.n_streams)
+    x, mu = waterfill(lam_w[:n_modes], lam_h[:n_modes], model.power)
+    gains = np.sqrt(x)
+    f = assemble_precoder(spectrum, gains, rotation)
+    return PrecoderDesign(
+        channel_basis=spectrum.basis,
+        gains=gains,
+        rotation=rotation,
+        precoder=f,
+        objective_value=objective(weighted_mse_of_precoder(op, model, f)),
+        multiplier=float(mu),
+        offset=op.offset,
+        weight_eigs=lam_w,
+        channel_eigs=lam_h,
+    )
 
 
 def design_trace_min(model: SystemModel, op: WeightingOperator) -> PrecoderDesign:
@@ -342,24 +370,9 @@ def design_trace_min(model: SystemModel, op: WeightingOperator) -> PrecoderDesig
     spectra.  objective_value is Tr of the weighted error covariance at the
     assembled precoder.
     """
-    w = _weight_spectrum(op, model)
-    spectrum = whiten_channel(model)
-    wsvd = ordered_svd(w)
-    lam_w = np.zeros(model.n_streams, dtype=np.float64)
-    lam_w[: wsvd.s.size] = wsvd.s**2
-    n_modes = min(model.n_tx, model.n_streams)
-    x, mu = waterfill_trace(lam_w[:n_modes], spectrum.eigenvalues[:n_modes], model.power)
-    gains = np.sqrt(x)
-    f = assemble_precoder(spectrum, gains, wsvd.u)
-    psi = weighted_mse_of_precoder(op, model, f)
-    return PrecoderDesign(
-        channel_basis=spectrum.basis,
-        gains=gains,
-        rotation=wsvd.u,
-        precoder=f,
-        objective_value=float(np.real(np.trace(psi))),
-        multiplier=float(mu),
-        offset=op.offset,
+    wsvd = ordered_svd(_weight_factor(op, model))
+    return _structured_design(
+        model, op, wsvd.s**2, wsvd.u, waterfill_trace, lambda psi: float(np.real(np.trace(psi)))
     )
 
 
@@ -377,10 +390,9 @@ def design_det_min(
     objective_value is log det of the weighted error covariance at the
     assembled precoder.
     """
-    w = _weight_spectrum(op, model)
+    w = _weight_factor(op, model)
     pi = op.offset
-    pi_eigs = np.linalg.eigvalsh(pi)
-    if pi_eigs.min() <= 0.0:
+    if np.linalg.eigvalsh(pi).min() <= 0.0:
         if not jitter_pi:
             raise NotPD(
                 "offset matrix must be strictly positive definite for the log-det design "
@@ -391,21 +403,7 @@ def design_det_min(
         if np.linalg.eigvalsh(pi).min() <= 0.0:
             raise NotPD("offset matrix is singular even after jitter")
         op = WeightingOperator(weights=op.weights, offset=pi)
-    spectrum = whiten_channel(model)
-    theta = symmetrize(w @ np.linalg.solve(pi, w.conj().T))
-    evd = ordered_evd(theta, "decreasing")
-    lam_t = np.clip(evd.values, 0.0, None)
-    n_modes = min(model.n_tx, model.n_streams)
-    x, mu = waterfill_logdet(lam_t[:n_modes], spectrum.eigenvalues[:n_modes], model.power)
-    gains = np.sqrt(x)
-    f = assemble_precoder(spectrum, gains, evd.vectors)
-    psi = weighted_mse_of_precoder(op, model, f)
-    return PrecoderDesign(
-        channel_basis=spectrum.basis,
-        gains=gains,
-        rotation=evd.vectors,
-        precoder=f,
-        objective_value=logdet_pd(psi),
-        multiplier=float(mu),
-        offset=pi,
+    evd = ordered_evd(symmetrize(w @ np.linalg.solve(op.offset, w.conj().T)), "decreasing")
+    return _structured_design(
+        model, op, np.clip(evd.values, 0.0, None), evd.vectors, waterfill_logdet, logdet_pd
     )

@@ -59,7 +59,8 @@ from .relay import (
     relay_weighted_mse,
 )
 from .rng import SplitMix64, derive_seed
-from .spectral import logdet_pd, ordered_evd, ordered_svd, symmetrize
+# whiten_channel and ordered_svd are not called here: perfbench/tracing.py wraps both by name
+from .spectral import logdet_pd, ordered_evd, ordered_svd, symmetrize  # noqa: F401
 from .weighting import WeightingOperator, weighted_mse_of_precoder
 
 DEFAULT_TOLERANCES = {
@@ -194,41 +195,32 @@ def _scalar_gap(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
-def _padded(values: np.ndarray, n: int) -> np.ndarray:
-    out = np.zeros(n, dtype=np.float64)
-    out[: min(n, values.size)] = values[: min(n, values.size)]
-    return out
-
-
-def _design_invariants(cfg, model, op, design, kind: str, power_used: float) -> tuple[dict, dict]:
+def _design_invariants(cfg, design, kind: str, power: float, power_used: float) -> tuple[dict, dict]:
     """Power, KKT, ordering, and scalarization checks shared by design modes.
 
-    power_used is the power the design spends: Tr(F F^H) for a point
-    design, Tr(P C1 P^H) for a relay design.
+    The checks read the paired spectra the design water-filled.  power is
+    the budget; power_used is the power the design spends: Tr(F F^H) for a
+    point design, Tr(P C1 P^H) for a relay design.
     """
-    spectrum = whiten_channel(model)
-    n_streams = model.n_streams
-    lam_h_modes = _padded(spectrum.eigenvalues, n_streams)
-    gains_sq = _padded(design.gains**2, n_streams)
+    lam_obj = design.weight_eigs
+    lam_h_modes = design.channel_eigs
+    gains_sq = np.pad(design.gains**2, (0, lam_obj.size - design.gains.size))
     pi_eff = design.offset
     if kind == "trace":
-        lam_obj = _padded(np.asarray(ordered_svd(op.weights[0]).s) ** 2, n_streams)
         scalar = float(np.sum(lam_obj / (1.0 + lam_h_modes * gains_sq))) + float(
             np.real(np.trace(pi_eff))
         )
         kkt = trace_kkt_residual(lam_obj, lam_h_modes, gains_sq, design.multiplier)
     else:
-        theta = symmetrize(op.weights[0] @ np.linalg.solve(pi_eff, op.weights[0].conj().T))
-        lam_obj = _padded(np.clip(ordered_evd(theta).values, 0.0, None), n_streams)
         scalar = logdet_pd(pi_eff) + float(
             np.sum(np.log(lam_obj / (1.0 + lam_h_modes * gains_sq) + 1.0))
         )
         kkt = logdet_kkt_residual(lam_obj, lam_h_modes, gains_sq, design.multiplier)
     any_active = bool(np.any(lam_obj * lam_h_modes > 0.0))
     if any_active:
-        power_ok = abs(power_used - model.power) <= cfg.tolerance("power_rel") * model.power
+        power_ok = abs(power_used - power) <= cfg.tolerance("power_rel") * power
     else:
-        power_ok = power_used <= cfg.tolerance("power_rel") * model.power
+        power_ok = power_used <= cfg.tolerance("power_rel") * power
     products = lam_h_modes * gains_sq
     ordering_ok = bool(np.all(np.diff(products) <= 1e-9 * max(1.0, float(products.max(initial=0.0)))))
     flags = {
@@ -340,7 +332,7 @@ def _run_point_design(cfg: ExperimentConfig, kind: str) -> tuple[list, dict]:
         model, op = _system_and_weighting(cfg, trial)
         design, oracle_best, gap = _point_trial(cfg, trial, model, op, kind)
         flags, detail = _design_invariants(
-            cfg, model, op, design, kind, transmit_power(design.precoder)
+            cfg, design, kind, model.power, transmit_power(design.precoder)
         )
         flags["gap"] = _gap_ok(cfg, gap)
         records.append(
@@ -350,28 +342,28 @@ def _run_point_design(cfg: ExperimentConfig, kind: str) -> tuple[list, dict]:
 
 
 def _run_relay_design(cfg: ExperimentConfig, kind: str) -> tuple[list, dict]:
-    """kind "trace" is the sum-MSE design, "det" the capacity design."""
+    """kind "trace" is the sum-MSE design, "det" the capacity design.
+
+    route_match compares the chain objective at P = F C1^{-1/2} with the design's at F.
+    """
     records = []
     for trial in range(cfg.trials):
         relay = _relay(cfg, trial)
-        sysmodel, op = relay_to_weighted(relay)
         if kind == "trace":
             fwd, objective, design = design_relay_sum_mse(relay)
             oracle_best = _oracle(cfg, trial, relay_mse_problem(relay))
             gap = oracle_best - objective
+            mapped = design.objective_value
         else:
             fwd, objective, design = design_relay_capacity(relay, jitter_pi=cfg.jitter_pi)
             oracle_min = _oracle(cfg, trial, relay_logdet_problem(relay))
-            oracle_best = logdet_pd(relay.source_cov) - oracle_min
+            logdet_rs = logdet_pd(relay.source_cov)
+            oracle_best = logdet_rs - oracle_min
             gap = objective - oracle_best
-        psi = weighted_mse_of_precoder(op, sysmodel, forwarding_to_precoder(relay, fwd))
-        if kind == "trace":
-            mapped = float(np.real(np.trace(psi)))
-        else:
-            mapped = logdet_pd(relay.source_cov) - logdet_pd(psi)
+            mapped = logdet_rs - design.objective_value
         route_gap = _scalar_gap(objective, mapped)
         power_used = relay_transmit_power(relay, fwd)
-        flags, detail = _design_invariants(cfg, sysmodel, op, design, kind, power_used)
+        flags, detail = _design_invariants(cfg, design, kind, relay.power, power_used)
         flags["gap"] = _gap_ok(cfg, gap)
         flags["route_match"] = bool(route_gap <= cfg.tolerance("equivalence_rel"))
         detail["route_rel_gap"] = float(route_gap)

@@ -30,7 +30,7 @@ from .design import PrecoderDesign, design_det_min, design_trace_min
 from .errors import NotPD, NumericalError, ShapeError
 from .mimo import SystemModel
 from .spectral import Congruence, _ct, _inner, _left, _right, as_matrix, as_shaped
-from .spectral import hermitian_sqrt, hermitize, inv_sqrt_pd, logdet_pd, symmetrize
+from .spectral import hermitize, logdet_pd, symmetrize
 from .weighting import WeightingOperator
 
 
@@ -110,6 +110,15 @@ class RelayModel:
         return symmetrize(s_map @ np.conj(s_map.T))
 
     @cached_property
+    def c1_roots(self) -> tuple[np.ndarray, np.ndarray]:
+        """(C1^{1/2}, C1^{-1/2}) from one eigendecomposition of C1."""
+        w, u = np.linalg.eigh(self.c1)
+        if w.min() <= 0.0:
+            raise NotPD("first-hop Gram C1 is not strictly positive definite")
+        root = np.sqrt(w)
+        return symmetrize((u * root) @ u.conj().T), symmetrize((u * (1.0 / root)) @ u.conj().T)
+
+    @cached_property
     def _source_trace(self) -> float:
         return float(np.real(np.trace(self.source_cov)))
 
@@ -159,12 +168,10 @@ def relay_to_weighted(model: RelayModel) -> tuple[SystemModel, WeightingOperator
     is rebuilt from its eigendecomposition only when rounding left a
     slightly negative eigenvalue (floor -1e-12 * Tr).
     """
-    c1 = model.c1
-    c1_inv_sqrt = inv_sqrt_pd(c1)
     h1rs = model.channel1 @ model.source_cov
-    w = c1_inv_sqrt @ h1rs
+    w = model.c1_roots[1] @ h1rs
     try:
-        x = np.linalg.solve(c1, h1rs)
+        x = np.linalg.solve(model.c1, h1rs)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - C1 is PD
         raise NumericalError(f"first-hop Gram solve failed: {exc}") from None
     pi = symmetrize(model.source_cov - h1rs.conj().T @ x)
@@ -188,13 +195,13 @@ def relay_to_weighted(model: RelayModel) -> tuple[SystemModel, WeightingOperator
 def precoder_to_forwarding(model: RelayModel, precoder) -> np.ndarray:
     """P = F C1^{-1/2}; preserves the power, Tr(P C1 P^H) = Tr(F F^H)."""
     f = as_shaped(precoder, (model.n_relay_tx, model.n_relay_rx), "precoder")
-    return f @ inv_sqrt_pd(model.c1)
+    return f @ model.c1_roots[1]
 
 
 def forwarding_to_precoder(model: RelayModel, forwarding) -> np.ndarray:
     """Inverse map F = P C1^{1/2} of precoder_to_forwarding."""
     p = _check_forwarding(model, forwarding)
-    return p @ hermitian_sqrt(model.c1)
+    return p @ model.c1_roots[0]
 
 
 def relay_weighted_mse(model: RelayModel, forwarding) -> np.ndarray:

@@ -13,6 +13,7 @@ import time
 import numpy as np
 
 from matfield import (
+    WeightingOperator,
     design_det_min,
     design_relay_capacity,
     design_relay_sum_mse,
@@ -433,6 +434,9 @@ def test_criterion_12_kkt_residuals():
     def note(design, spectra, kind, power):
         nonlocal worst_res, worst_pow
         a, b = spectra
+        # the spectra the design reports are the ones derived here independently
+        assert np.array_equal(design.weight_eigs, a)
+        assert np.array_equal(design.channel_eigs, b)
         n = design.gains.size
         x = design.gains**2
         if kind == "trace":
@@ -447,6 +451,18 @@ def test_criterion_12_kkt_residuals():
         model, op = _system_pair(trial, DIMS_LE3)
         note(design_trace_min(model, op), _trace_spectra(model, op), "trace", model.power)
         note(design_det_min(model, op), _theta_spectra(model, op), "logdet", model.power)
+    # fewer transmit antennas than streams, more streams than outputs, and a
+    # singular offset regularized by jitter_pi
+    for trial in range(10):
+        model, op = _system_pair(trial, [(1, 2, 2, 2), (2, 2, 3, 2)])
+        note(design_trace_min(model, op), _trace_spectra(model, op), "trace", model.power)
+        note(design_det_min(model, op), _theta_spectra(model, op), "logdet", model.power)
+        m = op.offset.shape[0]
+        singular = WeightingOperator(weights=op.weights, offset=np.diag([1.0] + [0.0] * (m - 1)))
+        d = design_det_min(model, singular, jitter_pi=True)
+        assert not np.array_equal(d.offset, singular.offset)
+        jittered = WeightingOperator(weights=op.weights, offset=d.offset)
+        note(d, _theta_spectra(model, jittered), "logdet", model.power)
     for trial in range(20):
         m = generate_relay(derive_seed(SEED, 5, trial), (2, 2, 2, 2), 4.0)
         sysm, op = relay_to_weighted(m)
