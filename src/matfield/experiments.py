@@ -1,9 +1,10 @@
 """Experiment harness: seeded verification and design-vs-oracle runs.
 
-Every mode consumes an ExperimentConfig and produces a JSON-serializable
-report with one record per trial, the tolerances actually applied, and a
-single overall pass flag.  Reports are deterministic for a fixed config
-except for the wall-time entry.
+Every mode is a per-trial function (cfg, trial) -> records (two records
+for oracle-compare, one otherwise) paired with an aggregate of the records;
+run() loops over the trials and returns a JSON-serializable report with the
+records, the tolerances actually applied, and a single overall pass flag.
+Reports are deterministic for a fixed config except for the wall-time entry.
 
 Sub-stream layout: component c of trial t uses derive_seed(seed, t, c) with
   0 = instance matrices, 1 = weighting operator, 2 = oracle sampling,
@@ -64,18 +65,14 @@ from .spectral import logdet_pd, ordered_evd, ordered_svd, symmetrize  # noqa: F
 from .weighting import WeightingOperator, weighted_mse_of_precoder
 
 DEFAULT_TOLERANCES = {
-    "dominance": 1e-8,
     "two_route_rel": 1e-10,
     "inequality_slack": 1e-9,
     "equality_rel": 1e-9,
     "optimality_gap": 1e-6,
-    "rotation_improvement": 1e-9,
     "scalarization": 1e-8,
-    "classical_match": 1e-8,
     "equivalence_rel": 1e-9,
     "power_rel": 1e-9,
     "kkt_rel": 1e-8,
-    "grid_match": 1e-6,
 }
 
 # derive_seed component tags
@@ -273,12 +270,8 @@ def _gap_ok(cfg: ExperimentConfig, gap: float) -> bool:
     return bool(gap >= -cfg.tolerance("optimality_gap"))
 
 
-def _worst_gap(records: list) -> dict:
-    return {"worst_gap": float(min(r["gap"] for r in records))}
-
-
 # ---------------------------------------------------------------------------
-# mode implementations
+# per-trial mode functions: (cfg, trial) -> list of records
 
 
 def _system(cfg: ExperimentConfig, trial: int):
@@ -326,155 +319,133 @@ def _point_trial(cfg: ExperimentConfig, trial: int, model, op, kind: str):
     return design, oracle_best, oracle_best - design.objective_value
 
 
-def _run_point_design(cfg: ExperimentConfig, kind: str) -> tuple[list, dict]:
-    records = []
-    for trial in range(cfg.trials):
-        model, op = _system_and_weighting(cfg, trial)
-        design, oracle_best, gap = _point_trial(cfg, trial, model, op, kind)
-        flags, detail = _design_invariants(
-            cfg, design, kind, model.power, transmit_power(design.precoder)
-        )
-        flags["gap"] = _gap_ok(cfg, gap)
-        records.append(
-            _record(trial, flags, detail, design.objective_value, oracle_best, gap, detail["power_used"])
-        )
-    return records, _worst_gap(records)
+def _point_design(cfg: ExperimentConfig, trial: int, kind: str) -> list:
+    model, op = _system_and_weighting(cfg, trial)
+    design, oracle_best, gap = _point_trial(cfg, trial, model, op, kind)
+    flags, detail = _design_invariants(cfg, design, kind, model.power, transmit_power(design.precoder))
+    flags["gap"] = _gap_ok(cfg, gap)
+    return [_record(trial, flags, detail, design.objective_value, oracle_best, gap, detail["power_used"])]
 
 
-def _run_relay_design(cfg: ExperimentConfig, kind: str) -> tuple[list, dict]:
+def _relay_design(cfg: ExperimentConfig, trial: int, kind: str) -> list:
     """kind "trace" is the sum-MSE design, "det" the capacity design.
 
     route_match compares the chain objective at P = F C1^{-1/2} with the design's at F.
     """
-    records = []
-    for trial in range(cfg.trials):
-        relay = _relay(cfg, trial)
-        if kind == "trace":
-            fwd, objective, design = design_relay_sum_mse(relay)
-            oracle_best = _oracle(cfg, trial, relay_mse_problem(relay))
-            gap = oracle_best - objective
-            mapped = design.objective_value
-        else:
-            fwd, objective, design = design_relay_capacity(relay, jitter_pi=cfg.jitter_pi)
-            oracle_min = _oracle(cfg, trial, relay_logdet_problem(relay))
-            logdet_rs = logdet_pd(relay.source_cov)
-            oracle_best = logdet_rs - oracle_min
-            gap = objective - oracle_best
-            mapped = logdet_rs - design.objective_value
-        route_gap = _scalar_gap(objective, mapped)
-        power_used = relay_transmit_power(relay, fwd)
-        flags, detail = _design_invariants(cfg, design, kind, relay.power, power_used)
-        flags["gap"] = _gap_ok(cfg, gap)
-        flags["route_match"] = bool(route_gap <= cfg.tolerance("equivalence_rel"))
-        detail["route_rel_gap"] = float(route_gap)
-        records.append(_record(trial, flags, detail, objective, oracle_best, gap, power_used))
-    return records, _worst_gap(records)
+    relay = _relay(cfg, trial)
+    if kind == "trace":
+        fwd, objective, design = design_relay_sum_mse(relay)
+        oracle_best = _oracle(cfg, trial, relay_mse_problem(relay))
+        gap = oracle_best - objective
+        mapped = design.objective_value
+    else:
+        fwd, objective, design = design_relay_capacity(relay, jitter_pi=cfg.jitter_pi)
+        oracle_min = _oracle(cfg, trial, relay_logdet_problem(relay))
+        logdet_rs = logdet_pd(relay.source_cov)
+        oracle_best = logdet_rs - oracle_min
+        gap = objective - oracle_best
+        mapped = logdet_rs - design.objective_value
+    route_gap = _scalar_gap(objective, mapped)
+    power_used = relay_transmit_power(relay, fwd)
+    flags, detail = _design_invariants(cfg, design, kind, relay.power, power_used)
+    flags["gap"] = _gap_ok(cfg, gap)
+    flags["route_match"] = bool(route_gap <= cfg.tolerance("equivalence_rel"))
+    detail["route_rel_gap"] = float(route_gap)
+    return [_record(trial, flags, detail, objective, oracle_best, gap, power_used)]
 
 
-def _run_verify_inequalities(cfg: ExperimentConfig) -> tuple[list, dict]:
+def _verify_inequalities(cfg: ExperimentConfig, trial: int) -> list:
     n = cfg.dims[2]
+    sa = SplitMix64(derive_seed(cfg.seed, trial, TAG_PSD_A))
+    sb = SplitMix64(derive_seed(cfg.seed, trial, TAG_PSD_B))
+    ba = sa.complex_normal(n, n)
+    bb = sb.complex_normal(n, n)
+    a = symmetrize(ba.conj().T @ ba)
+    b = symmetrize(bb.conj().T @ bb)
+    bound1, holds1 = trace_product_lower_bound(a, b, cfg.tolerance("inequality_slack"))
+    bound2, holds2 = det_sum_lower_bound(a, b, cfg.tolerance("inequality_slack"))
+    # equality constructions: shared eigenvectors, reversed order for the
+    # trace bound, aligned order for the determinant bound
+    evd_a = ordered_evd(a)
+    eigs_b = np.sort(np.linalg.eigvalsh(b))
+    u = evd_a.vectors
+    b_rev = symmetrize((u * eigs_b) @ u.conj().T)
+    tr_rev = float(np.real(np.trace(a @ b_rev)))
+    eq1_gap = _scalar_gap(tr_rev, trace_product_lower_bound(a, b_rev)[0])
+    b_ali = symmetrize((u * eigs_b[::-1]) @ u.conj().T)
+    det_ali = float(np.real(np.linalg.det(a + b_ali)))
+    eq2_gap = _scalar_gap(det_ali, det_sum_lower_bound(a, b_ali)[0])
+    flags = {
+        "trace_bound": bool(holds1),
+        "det_bound": bool(holds2),
+        "trace_equality": bool(eq1_gap <= cfg.tolerance("equality_rel")),
+        "det_equality": bool(eq2_gap <= cfg.tolerance("equality_rel")),
+    }
+    detail = {
+        "trace_bound": bound1,
+        "det_bound": bound2,
+        "trace_equality_rel_gap": eq1_gap,
+        "det_equality_rel_gap": eq2_gap,
+    }
+    return [_record(trial, flags, detail)]
+
+
+def _verify_equivalence(cfg: ExperimentConfig, trial: int) -> list:
+    relay = _relay(cfg, trial)
+    sysmodel, op = relay_to_weighted(relay)
+    probe = SplitMix64(derive_seed(cfg.seed, trial, TAG_PROBE))
+    fwd = probe.complex_normal(relay.n_relay_tx, relay.n_relay_rx)
+    fwd = fwd * np.sqrt(relay.power / max(relay_transmit_power(relay, fwd), 1e-300))
+
+    psi_relay = relay_weighted_mse(relay, fwd)
+    f_mapped = forwarding_to_precoder(relay, fwd)
+    psi_weighted = weighted_mse_of_precoder(op, sysmodel, f_mapped)
+    route_rel = _rel_gap(psi_relay, psi_weighted)
+
+    pi_identity = _rel_gap(op.factor_gram() + op.offset, relay.source_cov)
+
+    # fwd was scaled to spend relay.power by Tr(P C1 P^H); the mapped F must spend it too
+    power_used = transmit_power(f_mapped)
+    power_gap = abs(power_used - relay.power) / max(1.0, relay.power)
+
+    # the flag, not relay_capacity's NumericalError, reports a disagreement
+    cap_gap = _scalar_gap(*relay_capacity_routes(relay, fwd))
+
+    # independent end-to-end error covariance in information form
+    t = relay.channel2 @ fwd
+    a_chain = t @ relay.channel1
+    c_noise = symmetrize(t @ relay.noise1_cov @ t.conj().T + relay.noise2_cov)
+    x = np.linalg.solve(c_noise, a_chain)
+    info = np.linalg.inv(relay.source_cov) + a_chain.conj().T @ x
+    e2e = np.linalg.inv(symmetrize(info))
+    e2e_rel = _rel_gap(psi_relay, e2e)
+
+    flags = {
+        "route_match": bool(route_rel <= cfg.tolerance("equivalence_rel")),
+        "pi_identity": bool(pi_identity <= cfg.tolerance("two_route_rel")),
+        "power_bijection": bool(power_gap <= cfg.tolerance("power_rel")),
+        "capacity_two_route": bool(cap_gap <= cfg.tolerance("equivalence_rel")),
+        "end_to_end_lmmse": bool(e2e_rel <= cfg.tolerance("equivalence_rel")),
+    }
+    detail = {
+        "route_rel_gap": route_rel,
+        "pi_identity_rel_gap": pi_identity,
+        "power_rel_gap": power_gap,
+        "capacity_rel_gap": cap_gap,
+        "end_to_end_rel_gap": e2e_rel,
+    }
+    return [_record(trial, flags, detail, power=power_used)]
+
+
+def _oracle_compare(cfg: ExperimentConfig, trial: int) -> list:
+    model, op = _system_and_weighting(cfg, trial)
     records = []
-    worst = 0.0
-    for trial in range(cfg.trials):
-        sa = SplitMix64(derive_seed(cfg.seed, trial, TAG_PSD_A))
-        sb = SplitMix64(derive_seed(cfg.seed, trial, TAG_PSD_B))
-        ba = sa.complex_normal(n, n)
-        bb = sb.complex_normal(n, n)
-        a = symmetrize(ba.conj().T @ ba)
-        b = symmetrize(bb.conj().T @ bb)
-        bound1, holds1 = trace_product_lower_bound(a, b, cfg.tolerance("inequality_slack"))
-        bound2, holds2 = det_sum_lower_bound(a, b, cfg.tolerance("inequality_slack"))
-        # equality constructions: shared eigenvectors, reversed order for the
-        # trace bound, aligned order for the determinant bound
-        evd_a = ordered_evd(a)
-        eigs_b = np.sort(np.linalg.eigvalsh(b))
-        u = evd_a.vectors
-        b_rev = symmetrize((u * eigs_b) @ u.conj().T)
-        tr_rev = float(np.real(np.trace(a @ b_rev)))
-        eq1_gap = _scalar_gap(tr_rev, trace_product_lower_bound(a, b_rev)[0])
-        b_ali = symmetrize((u * eigs_b[::-1]) @ u.conj().T)
-        det_ali = float(np.real(np.linalg.det(a + b_ali)))
-        eq2_gap = _scalar_gap(det_ali, det_sum_lower_bound(a, b_ali)[0])
-        flags = {
-            "trace_bound": bool(holds1),
-            "det_bound": bool(holds2),
-            "trace_equality": bool(eq1_gap <= cfg.tolerance("equality_rel")),
-            "det_equality": bool(eq2_gap <= cfg.tolerance("equality_rel")),
-        }
-        worst = max(worst, eq1_gap, eq2_gap)
-        detail = {
-            "trace_bound": bound1,
-            "det_bound": bound2,
-            "trace_equality_rel_gap": eq1_gap,
-            "det_equality_rel_gap": eq2_gap,
-        }
-        records.append(_record(trial, flags, detail))
-    return records, {"max_equality_rel_gap": float(worst)}
-
-
-def _run_verify_equivalence(cfg: ExperimentConfig) -> tuple[list, dict]:
-    records = []
-    worst = 0.0
-    for trial in range(cfg.trials):
-        relay = _relay(cfg, trial)
-        sysmodel, op = relay_to_weighted(relay)
-        probe = SplitMix64(derive_seed(cfg.seed, trial, TAG_PROBE))
-        fwd = probe.complex_normal(relay.n_relay_tx, relay.n_relay_rx)
-        fwd = fwd * np.sqrt(relay.power / max(relay_transmit_power(relay, fwd), 1e-300))
-
-        psi_relay = relay_weighted_mse(relay, fwd)
-        f_mapped = forwarding_to_precoder(relay, fwd)
-        psi_weighted = weighted_mse_of_precoder(op, sysmodel, f_mapped)
-        route_rel = _rel_gap(psi_relay, psi_weighted)
-
-        pi_identity = _rel_gap(op.factor_gram() + op.offset, relay.source_cov)
-
-        power_used = relay_transmit_power(relay, fwd)
-        power_gap = abs(power_used - transmit_power(f_mapped)) / max(1.0, relay.power)
-
-        # the flag, not relay_capacity's NumericalError, reports a disagreement
-        cap_gap = _scalar_gap(*relay_capacity_routes(relay, fwd))
-
-        # independent end-to-end error covariance in information form
-        t = relay.channel2 @ fwd
-        a_chain = t @ relay.channel1
-        c_noise = symmetrize(t @ relay.noise1_cov @ t.conj().T + relay.noise2_cov)
-        x = np.linalg.solve(c_noise, a_chain)
-        info = np.linalg.inv(relay.source_cov) + a_chain.conj().T @ x
-        e2e = np.linalg.inv(symmetrize(info))
-        e2e_rel = _rel_gap(psi_relay, e2e)
-
-        flags = {
-            "route_match": bool(route_rel <= cfg.tolerance("equivalence_rel")),
-            "pi_identity": bool(pi_identity <= cfg.tolerance("two_route_rel")),
-            "power_bijection": bool(power_gap <= cfg.tolerance("power_rel")),
-            "capacity_two_route": bool(cap_gap <= cfg.tolerance("equivalence_rel")),
-            "end_to_end_lmmse": bool(e2e_rel <= cfg.tolerance("equivalence_rel")),
-        }
-        worst = max(worst, route_rel, cap_gap, e2e_rel)
-        detail = {
-            "route_rel_gap": route_rel,
-            "pi_identity_rel_gap": pi_identity,
-            "power_rel_gap": power_gap,
-            "capacity_rel_gap": cap_gap,
-            "end_to_end_rel_gap": e2e_rel,
-        }
-        records.append(_record(trial, flags, detail, power=power_used))
-    return records, {"max_rel_discrepancy": float(worst)}
-
-
-def _run_oracle_compare(cfg: ExperimentConfig) -> tuple[list, dict]:
-    records = []
-    for trial in range(cfg.trials):
-        model, op = _system_and_weighting(cfg, trial)
-        for kind in ("trace", "det"):
-            design, oracle_best, gap = _point_trial(cfg, trial, model, op, kind)
-            flags = {"gap": _gap_ok(cfg, gap)}
-            power = transmit_power(design.precoder)
-            records.append(
-                _record(trial, flags, {}, design.objective_value, oracle_best, gap, power, kind)
-            )
-    return records, _worst_gap(records)
+    for kind in ("trace", "det"):
+        design, oracle_best, gap = _point_trial(cfg, trial, model, op, kind)
+        flags = {"gap": _gap_ok(cfg, gap)}
+        power = transmit_power(design.precoder)
+        records.append(_record(trial, flags, {}, design.objective_value, oracle_best, gap, power, kind))
+    return records
 
 
 def _dft_matrix(n: int) -> np.ndarray:
@@ -482,48 +453,50 @@ def _dft_matrix(n: int) -> np.ndarray:
     return np.exp(-2j * np.pi * j * k / n) / np.sqrt(n)
 
 
-def _run_demo_schur(cfg: ExperimentConfig) -> tuple[list, dict]:
+def _demo_schur(cfg: ExperimentConfig, trial: int) -> list:
     """Informational: near-uniform weights rotated by a DFT basis equalize
     the per-stream MSEs of the designed link.  Always passes."""
-    records = []
-    spreads = []
-    for trial in range(cfg.trials):
-        model = _system(cfg, trial)
-        n = model.n_streams
-        lam_w = np.linspace(1.005, 0.995, n)  # <= 1% spread around 1
-        w = _dft_matrix(n) @ np.diag(np.sqrt(lam_w)).astype(np.complex128)
-        op = WeightingOperator(weights=(w,), offset=np.zeros((n, n), dtype=np.complex128))
-        design = design_trace_min(model, op)
-        g = lmmse_equalizer(model, design.precoder)
-        stream_mses = np.real(np.diag(mse_matrix(model, g, design.precoder)))
-        spread = float(stream_mses.max() - stream_mses.min()) / max(
-            float(stream_mses.mean()), 1e-300
-        )
-        spreads.append(spread)
-        detail = {"stream_mses": [float(v) for v in stream_mses], "stream_mse_spread": spread}
-        records.append(
-            _record(
-                trial,
-                {"informational": True},
-                detail,
-                design.objective_value,
-                power=transmit_power(design.precoder),
-            )
-        )
-    return records, {"max_stream_mse_spread": float(max(spreads))}
+    model = _system(cfg, trial)
+    n = model.n_streams
+    lam_w = np.linspace(1.005, 0.995, n)  # <= 1% spread around 1
+    w = _dft_matrix(n) @ np.diag(np.sqrt(lam_w)).astype(np.complex128)
+    op = WeightingOperator(weights=(w,), offset=np.zeros((n, n), dtype=np.complex128))
+    design = design_trace_min(model, op)
+    g = lmmse_equalizer(model, design.precoder)
+    stream_mses = np.real(np.diag(mse_matrix(model, g, design.precoder)))
+    spread = float(stream_mses.max() - stream_mses.min()) / max(float(stream_mses.mean()), 1e-300)
+    detail = {"stream_mses": [float(v) for v in stream_mses], "stream_mse_spread": spread}
+    power = transmit_power(design.precoder)
+    return [_record(trial, {"informational": True}, detail, design.objective_value, power=power)]
 
 
-_RUNNERS = {
-    "design-trace": lambda cfg: _run_point_design(cfg, "trace"),
-    "design-det": lambda cfg: _run_point_design(cfg, "det"),
-    "relay-mse": lambda cfg: _run_relay_design(cfg, "trace"),
-    "relay-capacity": lambda cfg: _run_relay_design(cfg, "det"),
-    "verify-inequalities": _run_verify_inequalities,
-    "verify-equivalence": _run_verify_equivalence,
-    "oracle-compare": _run_oracle_compare,
-    "demo-schur": _run_demo_schur,
+def _worst_gap(records: list) -> dict:
+    return {"worst_gap": float(min(r["gap"] for r in records))}
+
+
+def _largest(name: str, *keys: str):
+    """The aggregate that reports, as name, the largest detail field in keys over all records."""
+    return lambda records: {name: float(max(r["detail"][k] for r in records for k in keys))}
+
+
+# mode -> (per-trial function, aggregate of the records); MODES keeps this order
+_MODE_TABLE = {
+    "design-trace": (lambda cfg, trial: _point_design(cfg, trial, "trace"), _worst_gap),
+    "design-det": (lambda cfg, trial: _point_design(cfg, trial, "det"), _worst_gap),
+    "relay-mse": (lambda cfg, trial: _relay_design(cfg, trial, "trace"), _worst_gap),
+    "relay-capacity": (lambda cfg, trial: _relay_design(cfg, trial, "det"), _worst_gap),
+    "verify-inequalities": (
+        _verify_inequalities,
+        _largest("max_equality_rel_gap", "trace_equality_rel_gap", "det_equality_rel_gap"),
+    ),
+    "verify-equivalence": (
+        _verify_equivalence,
+        _largest("max_rel_discrepancy", "route_rel_gap", "capacity_rel_gap", "end_to_end_rel_gap"),
+    ),
+    "oracle-compare": (_oracle_compare, _worst_gap),
+    "demo-schur": (_demo_schur, _largest("max_stream_mse_spread", "stream_mse_spread")),
 }
-MODES = tuple(_RUNNERS)
+MODES = tuple(_MODE_TABLE)
 
 
 # ---------------------------------------------------------------------------
@@ -533,14 +506,15 @@ MODES = tuple(_RUNNERS)
 def run(cfg: ExperimentConfig) -> dict:
     """Execute the configured mode and return the report dict."""
     start = time.perf_counter()
-    records, extra = _RUNNERS[cfg.mode](cfg)
+    per_trial, aggregate_of = _MODE_TABLE[cfg.mode]
+    records = [rec for trial in range(cfg.trials) for rec in per_trial(cfg, trial)]
     failures = sum(0 if _record_pass(r["invariant_pass"]) else 1 for r in records)
     aggregate = {
         "trials": len(records),
         "failures": failures,
         "wall_time_s": time.perf_counter() - start,
     }
-    aggregate.update(extra)
+    aggregate.update(aggregate_of(records))
     return {
         "tool": "matfield",
         "version": __version__,
@@ -562,6 +536,19 @@ def run(cfg: ExperimentConfig) -> dict:
     }
 
 
+# (table header, record key, table format) of each per-trial column; the CSV
+# header is the record key, and a column the first record leaves None stays
+# out of the table
+_COLUMNS = (
+    ("trial", "trial", "{}"),
+    ("problem", "problem", "{}"),
+    ("objective", "objective_structured", "{:.9g}"),
+    ("oracle_best", "objective_oracle_best", "{:.9g}"),
+    ("gap", "gap", "{:+.3e}"),
+    ("power", "power_used", "{:.6g}"),
+)
+
+
 def render_table(report: dict) -> str:
     """Aligned plain-text table of the per-trial records."""
     records = report["trials"]
@@ -571,32 +558,13 @@ def render_table(report: dict) -> str:
     lines.append("-" * len(header))
     if not records:
         return "\n".join(lines + ["(no trials)"])
-    has_obj = records[0]["objective_structured"] is not None
-    has_oracle = records[0]["objective_oracle_best"] is not None
-    cols = ["trial"]
-    if "problem" in records[0]:
-        cols.append("problem")
-    if has_obj:
-        cols.append("objective")
-    if has_oracle:
-        cols += ["oracle_best", "gap"]
-    if records[0]["power_used"] is not None:
-        cols.append("power")
-    cols.append("ok")
-    rows = []
-    for r in records:
-        row = [str(r["trial"])]
-        if "problem" in r:
-            row.append(r["problem"])
-        if has_obj:
-            row.append(f"{r['objective_structured']:.9g}")
-        if has_oracle:
-            row.append(f"{r['objective_oracle_best']:.9g}")
-            row.append(f"{r['gap']:+.3e}")
-        if r["power_used"] is not None:
-            row.append(f"{r['power_used']:.6g}")
-        row.append("pass" if _record_pass(r["invariant_pass"]) else "FAIL")
-        rows.append(row)
+    shown = [c for c in _COLUMNS if records[0].get(c[1]) is not None]
+    cols = [name for name, _, _ in shown] + ["ok"]
+    rows = [
+        [fmt.format(r[key]) for _, key, fmt in shown]
+        + ["pass" if _record_pass(r["invariant_pass"]) else "FAIL"]
+        for r in records
+    ]
     widths = [max(len(c), max(len(row[i]) for row in rows)) for i, c in enumerate(cols)]
     lines.append("  ".join(c.rjust(widths[i]) for i, c in enumerate(cols)))
     for row in rows:
@@ -626,18 +594,12 @@ def render_csv(report: dict) -> str:
             if isinstance(v, (int, float)) and v is not None
         }
     )
-    cols = ["trial", "problem", "objective_structured", "objective_oracle_best", "gap", "power_used"]
+    cols = [key for _, key, _ in _COLUMNS]
     cols += [f"inv_{n}" for n in flag_names] + [f"detail_{n}" for n in detail_names]
     out = [",".join(cols)]
     for r in records:
-        cells = [
-            str(r["trial"]),
-            str(r.get("problem", "")),
-            "" if r["objective_structured"] is None else repr(r["objective_structured"]),
-            "" if r["objective_oracle_best"] is None else repr(r["objective_oracle_best"]),
-            "" if r["gap"] is None else repr(r["gap"]),
-            "" if r["power_used"] is None else repr(r["power_used"]),
-        ]
+        # str of a float is its repr
+        cells = ["" if r.get(key) is None else str(r[key]) for _, key, _ in _COLUMNS]
         for n in flag_names:
             cells.append(str(int(bool(r["invariant_pass"].get(n, True)))))
         for n in detail_names:

@@ -19,9 +19,6 @@ import numpy as np
 from .errors import InvalidWeight, NotPD, NumericalError, ShapeError
 from .spectral import _ct, _inner, _left, as_matrix, as_shaped, hermitize, symmetrize
 
-# relative slack on Tr(F F^H) <= P accepted as feasible
-POWER_RTOL = 1e-9
-
 
 @dataclass(frozen=True, eq=False)
 class SystemModel:
