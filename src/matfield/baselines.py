@@ -17,6 +17,18 @@ rebuilding them: ``(K F, Phi)`` for the trace problem, ``(K F, Phi, Psi)`` for
 log-det, ``(T, Z)`` for the relay sum-MSE and ``(Z, G, Psi)`` for the relay
 log-det (see `relay`).  A row mask selects the state of a subset of rows.
 
+The objectives fall as power grows, so their minimizers sit on the power
+sphere p(X) = P of the power form p(X) = Re Tr(X M X^H), and the budget
+rescale is a retraction onto it.  Projected-gradient refinement is therefore
+Riemannian gradient descent on that sphere, in the power form's own metric
+<A, B>_M = Re Tr(A M B^H): it steps along the tangent direction
+d = g M^-1 - (Re<g, X> / p(X)) X, whose slope -2 Re<g, d> is never positive
+by Cauchy-Schwarz in the M inner product.  (A step along -g, rescaled
+radially, can climb when M is not a multiple of I.)  M = I for the two
+point-to-point problems and M = C1 for the two relay problems.  Step lengths
+are Barzilai-Borwein ones (Barzilai and Borwein 1988) in the safeguarded
+form of Wen and Yin (2013).
+
 Projected-gradient refinement scores only its live starts: those whose step
 has not fallen below its floor.  A start whose step underflows is dropped for
 good, as a frozen start could never be accepted again.
@@ -33,7 +45,7 @@ from .errors import ShapeError
 from .mimo import SystemModel, channel_gram, lmmse_error, precoder_power
 from .relay import RelayModel, forwarding_power, relay_chain, relay_error, relay_trace
 from .rng import SplitMix64
-from .spectral import _ct, _left, _right
+from .spectral import _ct, _inner, _left, _right
 from .weighting import WeightingOperator, check_streams
 
 _POWER_FLOOR = 1e-300
@@ -46,6 +58,8 @@ class SearchProblem:
     ``objective(x, with_state=False)`` returns the values, or ``(values,
     state)`` with the per-row intermediates; ``gradient(x, state=None)``
     reuses a state for the same rows of ``x`` when one is given.
+    ``inverse_gram`` is M^-1 for the power form Re Tr(X M X^H), or None
+    when M = I.
     """
 
     shape: tuple
@@ -53,6 +67,7 @@ class SearchProblem:
     objective: Callable
     power_of: Callable
     gradient: Callable
+    inverse_gram: np.ndarray | None = None
 
 
 def _as_stack(x: np.ndarray, shape) -> np.ndarray:
@@ -64,7 +79,7 @@ def _as_stack(x: np.ndarray, shape) -> np.ndarray:
     return arr
 
 
-def _search_problem(shape, power, power_of, score, grad) -> SearchProblem:
+def _search_problem(shape, power, power_of, score, grad, inverse_gram=None) -> SearchProblem:
     """The problem of score(stack) -> (values, state) and grad(*state) -> gradient stack."""
 
     def objective(x, with_state=False):
@@ -82,6 +97,7 @@ def _search_problem(shape, power, power_of, score, grad) -> SearchProblem:
         objective=objective,
         power_of=lambda x: power_of(_as_stack(x, shape)),
         gradient=gradient,
+        inverse_gram=inverse_gram,
     )
 
 
@@ -134,7 +150,11 @@ def _relay_gradient(model: RelayModel, zm: np.ndarray, g: np.ndarray):
 
 def _relay_problem(model: RelayModel, score, grad) -> SearchProblem:
     shape = (model.n_relay_tx, model.n_relay_rx)
-    return _search_problem(shape, model.power, lambda p: forwarding_power(model, p), score, grad)
+    inv_root = model.c1_roots[1]
+    return _search_problem(
+        shape, model.power, lambda p: forwarding_power(model, p), score, grad,
+        inverse_gram=inv_root @ inv_root,
+    )
 
 
 def relay_mse_problem(model: RelayModel) -> SearchProblem:
@@ -175,39 +195,58 @@ def _project_to_budget(problem: SearchProblem, x: np.ndarray, boundary: bool = F
     return x * (scale if boundary else np.minimum(1.0, scale))[:, None, None]
 
 
+def _tangent_direction(problem: SearchProblem, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """d = g M^-1 - (Re<g, X> / p(X)) X: the M-metric gradient, less its radial part."""
+    gm = g if problem.inverse_gram is None else _right(g, problem.inverse_gram)
+    radial = _inner(g, x) / np.maximum(problem.power_of(x), _POWER_FLOOR)
+    return gm - radial[:, None, None] * x
+
+
 def projected_gradient_descent(
     problem: SearchProblem, starts: np.ndarray, max_iter: int = 500
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Refine a stack of feasible starts by projected gradient with step halving.
+    """Refine a stack of feasible starts by Riemannian descent on the power sphere.
 
-    Per start: step size doubles after an accepted move and halves on a
-    rejected one; a start freezes once its step underflows.  Projection is
-    power rescale onto the feasible set.  Each iteration scores only the
-    live (unfrozen) starts, and the gradient at an accepted candidate reuses
-    the state its objective evaluation built.  Returns (values, points).
+    Per start: a candidate X - eta d along the tangent direction d (see the
+    module docstring) is rescaled into the budget and accepted only if it
+    strictly lowers the objective.  After an accepted move s, with y the
+    change in d, the next step is the Barzilai-Borwein length <s, s> /
+    Re<s, y>, or double the step when Re<s, y> <= 0, clipped to [4 floor,
+    1e8 eta0]; a rejected candidate halves the step, and a start freezes once
+    its step underflows its floor.  Each iteration scores only the live
+    (unfrozen) starts, and the gradient at an accepted candidate reuses the
+    state its objective evaluation built.  Returns (values, points).
     """
     x = _project_to_budget(problem, np.array(starts, dtype=np.complex128))
     f, state = problem.objective(x, with_state=True)
     g = problem.gradient(x, state)
+    d = _tangent_direction(problem, x, g)
     gnorm = np.sqrt(np.sum(np.abs(g) ** 2, axis=(1, 2)))
     xnorm = np.sqrt(np.sum(np.abs(x) ** 2, axis=(1, 2)))
     eta = 0.25 * np.maximum(xnorm, np.sqrt(problem.power)) / np.maximum(gnorm, 1e-12)
     eta_floor = 1e-14 * np.maximum(eta, 1e-12)
+    eta_lo, eta_hi = 4.0 * eta_floor, 1e8 * eta
     live = np.arange(x.shape[0])
     for _ in range(max_iter):
         if live.size == 0:
             break
-        cand = _project_to_budget(problem, x[live] - eta[live, None, None] * g[live])
+        cand = _project_to_budget(problem, x[live] - eta[live, None, None] * d[live])
         fc, state = problem.objective(cand, with_state=True)
         improved = fc < f[live]
         accepted = live[improved]
-        moved = cand[improved]
-        x[accepted] = moved
-        f[accepted] = fc[improved]
-        eta[accepted] *= 2.0
         eta[live[~improved]] *= 0.5
         if accepted.size:
-            g[accepted] = problem.gradient(moved, tuple(s[improved] for s in state))
+            moved = cand[improved]
+            step = moved - x[accepted]
+            x[accepted] = moved
+            f[accepted] = fc[improved]
+            g_new = problem.gradient(moved, tuple(s[improved] for s in state))
+            d_new = _tangent_direction(problem, moved, g_new)
+            sy = _inner(step, d_new - d[accepted])
+            with np.errstate(over="ignore"):  # a tiny sy gives inf, clipped below
+                bb = np.divide(_inner(step, step), sy, out=2.0 * eta[accepted], where=sy > 0.0)
+            eta[accepted] = np.clip(bb, eta_lo[accepted], eta_hi[accepted])
+            d[accepted] = d_new
         live = live[eta[live] > eta_floor[live]]
     return f, x
 

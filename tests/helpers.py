@@ -124,34 +124,64 @@ def _project_reference(problem, x):
     return x * np.minimum(1.0, np.sqrt(problem.power / p))[:, None, None]
 
 
+def _inner_reference(a, b):
+    return np.vecdot(a.reshape(a.shape[0], -1), b.reshape(b.shape[0], -1)).real
+
+
+def _direction_reference(problem, x):
+    """d = g M^-1 - (Re<g, X> / p(X)) X with g computed afresh from the point."""
+    g = problem.gradient(x)
+    gm = g
+    if problem.inverse_gram is not None:
+        gm = (g.reshape(-1, g.shape[-1]) @ problem.inverse_gram).reshape(g.shape)
+    radial = _inner_reference(g, x) / np.maximum(problem.power_of(x), 1e-300)
+    return gm - radial[:, None, None] * x
+
+
 def masked_pgd_reference(problem, starts, max_iter=500):
     """Projected-gradient refinement as first written: a boolean mask of
     active starts, every start scored on every iteration, and each accepted
-    point's gradient computed afresh from the point alone.  The library's
-    live-set version must return bitwise the same (values, points).
+    point's direction computed afresh from the point alone.  Steps follow
+    the tangent direction d = g M^-1 - (Re<g, X> / p(X)) X with
+    Barzilai-Borwein lengths <s, s> / Re<s, y> after an accepted move
+    (doubling when Re<s, y> <= 0), clipped to [4 floor, 1e8 eta0], and
+    halving on a rejected one.  The library's live-set version must return
+    bitwise the same (values, points).
     """
     x = _project_reference(problem, np.array(starts, dtype=np.complex128))
     f = problem.objective(x)
     g = problem.gradient(x)
+    d = _direction_reference(problem, x)
     gnorm = np.sqrt(np.sum(np.abs(g) ** 2, axis=(1, 2)))
     xnorm = np.sqrt(np.sum(np.abs(x) ** 2, axis=(1, 2)))
-    eta = 0.25 * np.maximum(xnorm, np.sqrt(problem.power)) / np.maximum(gnorm, 1e-12)
-    eta_floor = 1e-14 * np.maximum(eta, 1e-12)
+    eta0 = 0.25 * np.maximum(xnorm, np.sqrt(problem.power)) / np.maximum(gnorm, 1e-12)
+    eta_floor = 1e-14 * np.maximum(eta0, 1e-12)
+    eta = eta0.copy()
     active = np.ones(x.shape[0], dtype=bool)
     for _ in range(max_iter):
         if not np.any(active):
             break
-        cand = _project_reference(problem, x - eta[:, None, None] * g)
+        cand = _project_reference(problem, x - eta[:, None, None] * d)
         fc = problem.objective(cand)
         improved = active & (fc < f)
-        x[improved] = cand[improved]
-        f[improved] = fc[improved]
-        eta[improved] *= 2.0
         rejected = active & ~improved
         eta[rejected] *= 0.5
-        active = eta > eta_floor
         if np.any(improved):
-            g[improved] = problem.gradient(x[improved])
+            s = cand[improved] - x[improved]
+            x[improved] = cand[improved]
+            f[improved] = fc[improved]
+            d_new = _direction_reference(problem, x[improved])
+            sy = _inner_reference(s, d_new - d[improved])
+            ss = _inner_reference(s, s)
+            step = 2.0 * eta[improved]
+            bb = sy > 0.0
+            with np.errstate(over="ignore"):
+                step[bb] = ss[bb] / sy[bb]
+            lo = 4.0 * eta_floor[improved]
+            hi = 1e8 * eta0[improved]
+            eta[improved] = np.minimum(np.maximum(step, lo), hi)
+            d[improved] = d_new
+        active = eta > eta_floor
     return f, x
 
 

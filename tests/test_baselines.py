@@ -175,6 +175,36 @@ def test_live_set_descent_matches_masked_reference_bitwise(max_iter):
         assert sum(scored[1:]) < iterations * starts.shape[0]
 
 
+def test_tangent_direction_descends_in_the_power_metric():
+    gen = helpers.rng(19)
+    # every non-square problem and the square relay ones (the scalar objectives
+    # are flat along the tangent phase, so d = 0 there)
+    problems = all_problems(20, cases=("non-square",)) + all_problems(20, cases=("square",))[2:]
+    assert sum(p.inverse_gram is not None for p in problems) == 4
+    for problem in problems:
+        x = _feasible_starts(problem, gen, 16)
+        g = problem.gradient(x)
+        cols = problem.shape[1]
+        inverse_gram = np.eye(cols) if problem.inverse_gram is None else problem.inverse_gram
+        if problem.inverse_gram is not None:
+            # a power form that is not a multiple of the Frobenius one
+            assert helpers.rel_err(inverse_gram, np.trace(inverse_gram).real / cols * np.eye(cols)) > 1e-3
+        # inverse_gram inverts the Gram of problem.power_of
+        xm = x @ np.linalg.inv(inverse_gram)
+        np.testing.assert_allclose(problem.power_of(x), np.sum(np.conj(x) * xm, axis=(1, 2)).real, rtol=1e-10)
+        radial = np.sum(np.conj(g) * x, axis=(1, 2)).real / problem.power_of(x)
+        d = g @ inverse_gram - radial[:, None, None] * x
+        # d is tangent to the power sphere, Re Tr(d M X^H) = 0, and slopes down
+        tangency = np.sum(np.conj(d) * xm, axis=(1, 2)).real
+        assert np.all(np.abs(tangency) <= 1e-10 * np.linalg.norm(d, axis=(1, 2)) * np.linalg.norm(xm, axis=(1, 2)))
+        assert np.all(np.sum(np.conj(g) * -d, axis=(1, 2)).real <= 0.0)
+        # so a short step along -d, rescaled to the budget, lowers the objective
+        t = 1e-6 * np.linalg.norm(x, axis=(1, 2)) / np.linalg.norm(d, axis=(1, 2))
+        moved = x - t[:, None, None] * d
+        moved *= np.sqrt(problem.power / problem.power_of(moved))[:, None, None]
+        assert np.all(problem.objective(moved) < problem.objective(x))
+
+
 def test_gradient_from_objective_state_is_exact():
     gen = helpers.rng(12)
     for problem in all_problems(13):
@@ -270,7 +300,7 @@ def test_relay_kernels_on_a_stack_match_its_members(case):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (1, 1)])
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (1, 1), (40, 40)])
 def test_congruence_takes_the_kronecker_gemm_only_for_stacks(shape, k):
     gen = helpers.rng(18)
     factors = [helpers.crandn(gen, *shape) for _ in range(k)]
@@ -287,4 +317,5 @@ def test_congruence_takes_the_kronecker_gemm_only_for_stacks(shape, k):
     stacked = Congruence(factors)
     assert_stack_matches_members(stacked, x)
     assert_stack_matches_members(stacked.adjoint, y)
-    assert "_vec" in vars(stacked)
+    # above the crossover a stack goes through the factor products too
+    assert ("_vec" in vars(stacked)) == (shape != (40, 40))

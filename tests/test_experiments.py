@@ -113,8 +113,8 @@ def test_reports_are_deterministic_modulo_walltime(mode):
 GOLDEN_ORACLE = {
     "design-trace": [(4.817040411704237, -8.881784197001252e-16)],
     "design-det": [(1.4147404404640478, -4.440892098500626e-16)],
-    "relay-mse": [(1.8744069520422357, 0.004861174417005509)],
-    "relay-capacity": [(1.4360262679335987, 0.0024388587976709175)],
+    "relay-mse": [(1.8695457776252287, -1.5543122344752192e-15)],
+    "relay-capacity": [(1.4384651267312702, -6.661338147750939e-16)],
     "oracle-compare": [
         (4.817040411704237, -8.881784197001252e-16),
         (1.4147404404640478, -4.440892098500626e-16),
@@ -127,6 +127,15 @@ def test_oracle_values_match_golden(mode):
     records = run(build_config({"trials": 1, "seed": 0}, mode=mode))["trials"]
     got = [(r["objective_oracle_best"], r["gap"]) for r in records]
     assert got == GOLDEN_ORACLE[mode]
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("mode", ["relay-mse", "relay-capacity"])
+def test_relay_oracle_closes_the_gap_at_the_default_config(mode, seed):
+    # the oracle's descent in the C1 power metric reaches the structured
+    # optimum, so a relay certificate is tight to rounding
+    for r in run(build_config({"trials": 1, "seed": seed}, mode=mode))["trials"]:
+        assert abs(r["gap"]) <= 1e-9 * max(1.0, abs(r["objective_structured"]))
 
 
 def test_design_trace_records_have_expected_fields():
