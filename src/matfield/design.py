@@ -24,6 +24,7 @@ from .errors import NotPD, NotPSD, PreconditionError, ShapeError, Unsupported
 from .mimo import SystemModel
 from .spectral import (
     as_matrix,
+    eigs_are_pd,
     eigs_are_psd,
     hermitize,
     inv_sqrt_pd,
@@ -81,11 +82,7 @@ class PrecoderDesign:
 
 def whiten_channel(model: SystemModel) -> WhitenedChannel:
     """Ordered spectrum and right singular basis of R_n^{-1/2} H."""
-    try:
-        w_inv_sqrt = inv_sqrt_pd(model.noise_cov)
-    except NotPD:
-        raise NotPD("noise covariance is singular, cannot whiten") from None
-    svd = ordered_svd(w_inv_sqrt @ model.channel)
+    svd = ordered_svd(inv_sqrt_pd(model.noise_cov, "noise covariance R_n") @ model.channel)
     lam = np.zeros(model.n_tx, dtype=np.float64)
     lam[: svd.s.size] = svd.s**2
     return WhitenedChannel(eigenvalues=lam, basis=svd.v)
@@ -392,7 +389,7 @@ def design_det_min(
     """
     w = _weight_factor(op, model)
     pi = op.offset
-    if np.linalg.eigvalsh(pi).min() <= 0.0:
+    if not eigs_are_pd(np.linalg.eigvalsh(pi)):
         if not jitter_pi:
             raise NotPD(
                 "offset matrix must be strictly positive definite for the log-det design "
@@ -400,7 +397,7 @@ def design_det_min(
             )
         eps = 1e-10 * float(np.real(np.trace(pi))) / pi.shape[0]
         pi = symmetrize(pi + eps * np.eye(pi.shape[0]))
-        if np.linalg.eigvalsh(pi).min() <= 0.0:
+        if not eigs_are_pd(np.linalg.eigvalsh(pi)):
             raise NotPD("offset matrix is singular even after jitter")
         op = WeightingOperator(weights=op.weights, offset=pi)
     evd = ordered_evd(symmetrize(w @ np.linalg.solve(op.offset, w.conj().T)), "decreasing")

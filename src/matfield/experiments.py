@@ -61,7 +61,7 @@ from .relay import (
 )
 from .rng import SplitMix64, derive_seed
 # whiten_channel and ordered_svd are not called here: perfbench/tracing.py wraps both by name
-from .spectral import logdet_pd, ordered_evd, ordered_svd, symmetrize  # noqa: F401
+from .spectral import from_eigs, logdet_pd, ordered_evd, ordered_svd, symmetrize  # noqa: F401
 from .weighting import WeightingOperator, weighted_mse_of_precoder
 
 DEFAULT_TOLERANCES = {
@@ -152,8 +152,8 @@ def build_config(data: dict, mode: Optional[str] = None, **overrides) -> Experim
     if isinstance(power, bool) or not isinstance(power, numbers.Real):
         raise ConfigError(f"power: expected a number, got {power!r}")
     power = float(power)
-    if not power > 0.0:
-        raise ConfigError("power: must be positive")
+    if not 0.0 < power < np.inf:
+        raise ConfigError(f"power: must be positive and finite, got {power!r}")
     for key, lo in (("trials", 1), ("budget", 1), ("refinements", 0), ("seed", None)):
         if not is_integer(merged[key]):
             raise ConfigError(f"{key}: expected an integer, got {merged[key]!r}")
@@ -166,8 +166,8 @@ def build_config(data: dict, mode: Optional[str] = None, **overrides) -> Experim
     for name, value in tol.items():
         if name not in DEFAULT_TOLERANCES:
             raise ConfigError(f"tolerances.{name}: unknown tolerance name")
-        if not isinstance(value, (int, float)) or not value > 0:
-            raise ConfigError(f"tolerances.{name}: expected a positive number")
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < np.inf:
+            raise ConfigError(f"tolerances.{name}: expected a positive finite number, got {value!r}")
     instance = merged.get("instance")
     if instance is not None and not isinstance(instance, dict):
         raise ConfigError("instance: expected an object")
@@ -369,10 +369,10 @@ def _verify_inequalities(cfg: ExperimentConfig, trial: int) -> list:
     evd_a = ordered_evd(a)
     eigs_b = np.sort(np.linalg.eigvalsh(b))
     u = evd_a.vectors
-    b_rev = symmetrize((u * eigs_b) @ u.conj().T)
+    b_rev = from_eigs(u, eigs_b)
     tr_rev = float(np.real(np.trace(a @ b_rev)))
     eq1_gap = _scalar_gap(tr_rev, trace_product_lower_bound(a, b_rev)[0])
-    b_ali = symmetrize((u * eigs_b[::-1]) @ u.conj().T)
+    b_ali = from_eigs(u, eigs_b[::-1])
     det_ali = float(np.real(np.linalg.det(a + b_ali)))
     eq2_gap = _scalar_gap(det_ali, det_sum_lower_bound(a, b_ali)[0])
     flags = {

@@ -147,7 +147,7 @@ def _model_from_json(make, **fields):
         raise ConfigError(f"instance: {exc}") from None
 
 
-def system_from_json(obj, power: float, n_streams: int | None = None) -> SystemModel:
+def system_from_json(obj, power: float) -> SystemModel:
     """Build a SystemModel from config fields H, R_n (+ optional n_streams)."""
     if not isinstance(obj, dict):
         raise ConfigError("instance: expected an object")
@@ -156,7 +156,7 @@ def system_from_json(obj, power: float, n_streams: int | None = None) -> SystemM
             raise ConfigError(f"instance.{key}: missing")
     h = matrix_from_json(obj["H"], "instance.H")
     r_n = _hermitian_from_json(obj, "R_n")
-    streams = obj.get("n_streams", n_streams)
+    streams = obj.get("n_streams")
     if streams is None:
         streams = h.shape[1]
     if isinstance(streams, bool) or not isinstance(streams, int) or streams < 1:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidWeight, NotPD, NumericalError, ShapeError
-from .spectral import _ct, _inner, _left, as_matrix, as_shaped, hermitize, symmetrize
+from .errors import InvalidWeight, NumericalError, ShapeError
+from .spectral import _ct, _inner, _left, as_covariance, as_matrix, as_shaped, symmetrize
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,17 +37,11 @@ class SystemModel:
 
     def __post_init__(self):
         h = as_matrix(self.channel)
-        r = hermitize(self.noise_cov)
-        if r.shape[0] != h.shape[0]:
-            raise ShapeError(
-                f"noise covariance R_n is {r.shape} but the channel has {h.shape[0]} outputs"
-            )
-        if np.linalg.eigvalsh(r).min() <= 0.0:
-            raise NotPD("noise covariance R_n must be strictly positive definite")
+        r = as_covariance(self.noise_cov, h.shape[0], "noise covariance R_n")
         if int(self.n_streams) < 1:
             raise ValueError("n_streams must be at least 1")
-        if not float(self.power) > 0.0:
-            raise ValueError("power budget must be positive")
+        if not 0.0 < float(self.power) < np.inf:
+            raise ValueError("power budget must be positive and finite")
         object.__setattr__(self, "channel", h)
         object.__setattr__(self, "noise_cov", r)
         object.__setattr__(self, "n_streams", int(self.n_streams))

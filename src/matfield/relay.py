@@ -27,10 +27,10 @@ from functools import cached_property
 import numpy as np
 
 from .design import PrecoderDesign, design_det_min, design_trace_min
-from .errors import NotPD, NumericalError, ShapeError
+from .errors import NumericalError
 from .mimo import SystemModel
-from .spectral import Congruence, _ct, _inner, _left, _right, as_matrix, as_shaped
-from .spectral import hermitize, logdet_pd, symmetrize
+from .spectral import Congruence, _ct, _inner, _left, _right, as_covariance, as_matrix
+from .spectral import as_shaped, from_eigs, logdet_pd, pd_roots, symmetrize
 from .weighting import WeightingOperator
 
 
@@ -58,24 +58,11 @@ class RelayModel:
     def __post_init__(self):
         h1 = as_matrix(self.channel1)
         h2 = as_matrix(self.channel2)
-        rs = hermitize(self.source_cov)
-        r1 = hermitize(self.noise1_cov)
-        r2 = hermitize(self.noise2_cov)
-        if rs.shape[0] != h1.shape[1]:
-            raise ShapeError(f"source covariance R_s {rs.shape} does not match H1 inputs {h1.shape[1]}")
-        if r1.shape[0] != h1.shape[0]:
-            raise ShapeError(f"relay noise covariance R_n1 {r1.shape} does not match H1 outputs")
-        if r2.shape[0] != h2.shape[0]:
-            raise ShapeError(f"destination noise covariance R_n2 {r2.shape} does not match H2 outputs")
-        for mat, name in (
-            (rs, "source covariance R_s"),
-            (r1, "relay noise covariance R_n1"),
-            (r2, "destination noise covariance R_n2"),
-        ):
-            if np.linalg.eigvalsh(mat).min() <= 0.0:
-                raise NotPD(f"{name} must be strictly positive definite")
-        if not float(self.power) > 0.0:
-            raise ValueError("relay power budget must be positive")
+        rs = as_covariance(self.source_cov, h1.shape[1], "source covariance R_s")
+        r1 = as_covariance(self.noise1_cov, h1.shape[0], "relay noise covariance R_n1")
+        r2 = as_covariance(self.noise2_cov, h2.shape[0], "destination noise covariance R_n2")
+        if not 0.0 < float(self.power) < np.inf:
+            raise ValueError("relay power budget must be positive and finite")
         object.__setattr__(self, "channel1", h1)
         object.__setattr__(self, "channel2", h2)
         object.__setattr__(self, "source_cov", rs)
@@ -112,11 +99,7 @@ class RelayModel:
     @cached_property
     def c1_roots(self) -> tuple[np.ndarray, np.ndarray]:
         """(C1^{1/2}, C1^{-1/2}) from one eigendecomposition of C1."""
-        w, u = np.linalg.eigh(self.c1)
-        if w.min() <= 0.0:
-            raise NotPD("first-hop Gram C1 is not strictly positive definite")
-        root = np.sqrt(w)
-        return symmetrize((u * root) @ u.conj().T), symmetrize((u * (1.0 / root)) @ u.conj().T)
+        return pd_roots(self.c1, "first-hop Gram C1")
 
     @cached_property
     def _source_trace(self) -> float:
@@ -168,7 +151,7 @@ def relay_to_weighted(model: RelayModel) -> tuple[SystemModel, WeightingOperator
     is rebuilt from its eigendecomposition only when rounding left a
     slightly negative eigenvalue (floor -1e-12 * Tr).
     """
-    h1rs = model.channel1 @ model.source_cov
+    h1rs = model.s_congruence.factors[0]
     w = model.c1_roots[1] @ h1rs
     try:
         x = np.linalg.solve(model.c1, h1rs)
@@ -182,7 +165,7 @@ def relay_to_weighted(model: RelayModel) -> tuple[SystemModel, WeightingOperator
             raise NumericalError(
                 "first-hop error covariance lost semi-definiteness beyond rounding"
             )
-        pi = symmetrize((vecs * np.clip(eigs, 0.0, None)) @ vecs.conj().T)
+        pi = from_eigs(vecs, np.clip(eigs, 0.0, None))
     sysmodel = SystemModel(
         channel=model.channel2,
         noise_cov=model.noise2_cov,

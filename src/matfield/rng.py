@@ -91,10 +91,6 @@ class SplitMix64:
         out[1::2] = r * np.sin(ang)
         return out[:n]
 
-    def normal_pair(self) -> tuple[float, float]:
-        z = self.normals(2)
-        return float(z[0]), float(z[1])
-
     def complex_normal(self, rows: int, cols: int) -> np.ndarray:
         """rows x cols matrix of unit-variance complex Gaussians, row-major.
 
@@ -107,6 +103,4 @@ class SplitMix64:
 
     def complex_normal_stack(self, count: int, rows: int, cols: int) -> np.ndarray:
         """count x rows x cols stack, matrices drawn sequentially."""
-        z = self.normals(2 * count * rows * cols)
-        flat = (z[0::2] + 1j * z[1::2]) / np.sqrt(2.0)
-        return flat.reshape(count, rows, cols)
+        return self.complex_normal(count * rows, cols).reshape(count, rows, cols)

@@ -1,10 +1,11 @@
 """Deterministic complex-matrix kernels.
 
 Ordered singular/eigen decompositions with a fixed tie-break and phase
-convention, Hermitian square roots, PSD tests, log-determinants, and
-Loewner-order comparisons.  Everything downstream (model, design, relay)
-leans on these conventions, so repeated calls on identical input bytes
-must return identical factors.  The model layer's formulas are written in
+convention, the PD and PSD rules and the covariance check built on them,
+eigen-rebuilds, Hermitian square roots, log-determinants, and Loewner-order
+comparisons.  Everything downstream (model, design, relay) leans on these
+conventions, so repeated calls on identical input bytes must return
+identical factors.  The model layer's formulas are written in
 the stack kernels at the end.
 
 Conventions:
@@ -36,6 +37,11 @@ _ENTRY_TOL = 1e-12       # threshold for "non-negligible" vector entries
 def eigs_are_psd(w, rtol: float = PSD_RTOL) -> bool:
     """True when the eigenvalues w clear the PSD floor min w >= -rtol * max|w|."""
     return not w.size or bool(w.min() >= -rtol * max(float(np.abs(w).max()), 1e-300))
+
+
+def eigs_are_pd(w) -> bool:
+    """True when the eigenvalues w are nonempty and all strictly positive (no floor)."""
+    return bool(w.size) and bool(w.min() > 0.0)
 
 
 def as_matrix(a) -> np.ndarray:
@@ -81,6 +87,25 @@ def hermitize(a) -> np.ndarray:
             "matrix is not Hermitian (asymmetry {:.3e} exceeds tolerance)".format(gap)
         )
     return (m + m.conj().T) / 2.0
+
+
+def as_covariance(a, n: int, name: str, definite: bool = True) -> np.ndarray:
+    """hermitize(a), checked to be n x n and positive definite (semi-definite
+    unless definite); the ShapeError, NotPD or NotPSD names the matrix."""
+    h = hermitize(a)
+    if h.shape[0] != n:
+        raise ShapeError(f"{name} is {h.shape[0]}x{h.shape[0]}, but must be {n}x{n}")
+    w = np.linalg.eigvalsh(h)
+    if definite and not eigs_are_pd(w):
+        raise NotPD(f"{name} must be strictly positive definite")
+    if not definite and not eigs_are_psd(w):
+        raise NotPSD(f"{name} must be positive semi-definite")
+    return h
+
+
+def from_eigs(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The Hermitian U diag(w) U^H from eigenvectors u and (real) eigenvalues w."""
+    return symmetrize((u * w) @ u.conj().T)
 
 
 def _phase_fix(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -190,17 +215,27 @@ def hermitian_sqrt(a) -> np.ndarray:
         raise NotPSD(
             "matrix has eigenvalue {:.3e} below the PSD tolerance".format(float(w.min()))
         )
-    w = np.clip(w, 0.0, None)
-    return symmetrize((u * np.sqrt(w)) @ u.conj().T)
+    return from_eigs(u, np.sqrt(np.clip(w, 0.0, None)))
 
 
-def inv_sqrt_pd(a) -> np.ndarray:
-    """Hermitian inverse square root of a strictly positive definite matrix."""
-    h = hermitize(a)
-    w, u = np.linalg.eigh(h)
-    if w.size == 0 or w.min() <= 0.0:
-        raise NotPD("matrix is not strictly positive definite")
-    return symmetrize((u * (1.0 / np.sqrt(w))) @ u.conj().T)
+def _pd_eigh(a, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvectors, sqrt of eigenvalues) of a Hermitian A that must be PD."""
+    w, u = np.linalg.eigh(hermitize(a))
+    if not eigs_are_pd(w):
+        raise NotPD(f"{name} is not strictly positive definite")
+    return u, np.sqrt(w)
+
+
+def pd_roots(a, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
+    """(A^{1/2}, A^{-1/2}) of a Hermitian strictly positive definite A, from one eigh."""
+    u, root = _pd_eigh(a, name)
+    return from_eigs(u, root), from_eigs(u, 1.0 / root)
+
+
+def inv_sqrt_pd(a, name: str = "matrix") -> np.ndarray:
+    """A^{-1/2} of a Hermitian strictly positive definite A: pd_roots without A^{1/2}."""
+    u, root = _pd_eigh(a, name)
+    return from_eigs(u, 1.0 / root)
 
 
 def logdet_pd(a) -> float:
@@ -209,7 +244,7 @@ def logdet_pd(a) -> float:
     w = np.linalg.eigvalsh(h)
     if w.size == 0:
         return 0.0
-    if w.min() <= 0.0:
+    if not eigs_are_pd(w):
         raise NotPD("log-determinant requires a positive definite matrix")
     return float(np.sum(np.log(w)))
 
@@ -274,11 +309,11 @@ _KRON_FLOP_RATIO = 6
 class Congruence:
     """The map X -> sum_k A_k^H X A_k and its adjoint Y -> sum_k A_k Y A_k^H.
 
-    A single matrix goes through the factors.  A stack of small factors is
-    one GEMM of each member's row-major vec with sum_k kron(conj A_k, A_k)
-    (or its conjugate transpose), built on the first stack: one-matrix calls
-    never build that (rows * cols)^2 matrix.  Above _KRON_FLOP_RATIO a stack
-    goes through the factors too, each product one GEMM over the stack.
+    A stack of small factors is one GEMM of each member's row-major vec with
+    sum_k kron(conj A_k, A_k) (or its conjugate transpose), built on the
+    first stack: one-matrix calls never build that (rows * cols)^2 matrix.
+    One matrix, and a stack above _KRON_FLOP_RATIO, go through the factor
+    products, each product one GEMM over the stack.
     """
 
     def __init__(self, factors):
@@ -292,17 +327,13 @@ class Congruence:
         return fwd, np.ascontiguousarray(fwd.conj().T)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim == 2:
-            return sum(a.conj().T @ x @ a for a in self.factors)
-        if not self._kron:
-            return sum(_left(a.conj().T, _right(x, a)) for a in self.factors)
+        if x.ndim == 2 or not self._kron:
+            return sum(_right(_left(a.conj().T, x), a) for a in self.factors)
         n = self.factors[0].shape[1]
         return (x.reshape(x.shape[0], -1) @ self._vec[0]).reshape(x.shape[0], n, n)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
-        if y.ndim == 2:
-            return sum(a @ y @ a.conj().T for a in self.factors)
-        if not self._kron:
-            return sum(_left(a, _right(y, a.conj().T)) for a in self.factors)
+        if y.ndim == 2 or not self._kron:
+            return sum(_right(_left(a, y), a.conj().T) for a in self.factors)
         n = self.factors[0].shape[0]
         return (y.reshape(y.shape[0], -1) @ self._vec[1]).reshape(y.shape[0], n, n)

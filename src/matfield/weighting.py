@@ -19,9 +19,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidWeight, NotPSD, PreconditionError, ShapeError
+from .errors import InvalidWeight, PreconditionError, ShapeError
 from .mimo import SystemModel, mse_lmmse
-from .spectral import Congruence, as_matrix, eigs_are_psd, hermitize, loewner_leq, symmetrize
+from .spectral import Congruence, as_covariance, as_matrix, hermitize, loewner_leq, symmetrize
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,13 +39,7 @@ class WeightingOperator:
         for w in ws[1:]:
             if w.shape != shape:
                 raise ShapeError(f"all weighting factors W_k must share shape {shape}, got {w.shape}")
-        pi = hermitize(self.offset)
-        if pi.shape[0] != shape[1]:
-            raise ShapeError(
-                f"offset Pi must be {shape[1]}x{shape[1]} to match the factor columns, got {pi.shape}"
-            )
-        if not eigs_are_psd(np.linalg.eigvalsh(pi)):
-            raise NotPSD("offset matrix Pi must be positive semi-definite")
+        pi = as_covariance(self.offset, shape[1], "offset matrix Pi", definite=False)
         object.__setattr__(self, "weights", ws)
         object.__setattr__(self, "offset", pi)
         object.__setattr__(self, "_congruence", Congruence(ws))

@@ -106,6 +106,8 @@ def test_unknown_field_exits_two(tmp_path, capsys):
         ("refinements", 1.5),
         ("seed", 1.5),
         ("power", True),
+        # json.dumps writes Infinity, which Python's json reads back
+        ("power", float("inf")),
     ],
 )
 def test_non_integral_or_boolean_number_exits_two(tmp_path, capsys, field, value):

@@ -41,8 +41,9 @@ def test_build_config_rejects_bad_input():
         build_config({"dims": [2, 2]}, mode="design-trace")
     with pytest.raises(ConfigError, match="dims"):
         build_config({"dims": [2, 2, -1, 2]}, mode="design-trace")
-    with pytest.raises(ConfigError, match="power"):
-        build_config({"power": 0}, mode="design-trace")
+    for power in (0, float("inf"), float("nan")):
+        with pytest.raises(ConfigError, match="^power:"):
+            build_config({"power": power}, mode="design-trace")
     with pytest.raises(ConfigError, match="trials"):
         build_config({"trials": 0}, mode="design-trace")
     with pytest.raises(ConfigError, match="tolerances"):
@@ -51,8 +52,10 @@ def test_build_config_rejects_bad_input():
     for name in ("dominance", "rotation_improvement", "classical_match", "grid_match"):
         with pytest.raises(ConfigError, match="unknown tolerance name"):
             build_config({"tolerances": {name: 1e-8}}, mode="design-trace")
-    with pytest.raises(ConfigError, match="tolerances"):
-        build_config({"tolerances": {"optimality_gap": -1.0}}, mode="design-trace")
+    # JSON true reads as 1, and Infinity would echo into the report as invalid JSON
+    for value in (-1.0, True, float("inf"), float("nan")):
+        with pytest.raises(ConfigError, match="^tolerances.optimality_gap:"):
+            build_config({"tolerances": {"optimality_gap": value}}, mode="design-trace")
     with pytest.raises(ConfigError, match="jitter_pi"):
         build_config({"jitter_pi": "yes"}, mode="design-trace")
 

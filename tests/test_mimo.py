@@ -182,6 +182,9 @@ def test_model_validates_scalars():
         SystemModel(channel=np.eye(2), noise_cov=np.eye(2), n_streams=0, power=1.0)
     with pytest.raises(Exception):
         SystemModel(channel=np.eye(2), noise_cov=np.eye(2), n_streams=2, power=0.0)
+    for power in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="power budget"):
+            SystemModel(channel=np.eye(2), noise_cov=np.eye(2), n_streams=2, power=power)
 
 
 def test_transmit_power():

@@ -246,6 +246,9 @@ def test_model_validation():
             noise2_cov=np.eye(2),
             power=1.0,
         )
+    for power in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="relay power budget"):
+            scalar_chain(power=power)
 
 
 def test_first_hop_gram_value():

@@ -5,7 +5,11 @@ from matfield import (
     InvalidMatrix,
     NotPD,
     NotPSD,
+    RelayModel,
     ShapeError,
+    SystemModel,
+    WeightingOperator,
+    design_det_min,
     hermitian_sqrt,
     hermitize,
     inv_sqrt_pd,
@@ -16,6 +20,7 @@ from matfield import (
     ordered_svd,
     symmetrize,
 )
+from matfield.spectral import pd_roots
 
 import helpers
 
@@ -131,6 +136,50 @@ def test_inv_sqrt_pd_roundtrip():
     assert helpers.rel_err(r @ a @ r, np.eye(3)) < 1e-9
     with pytest.raises(NotPD):
         inv_sqrt_pd(np.diag([1.0, 0.0]))
+
+
+def _relay_with(**cov):
+    eye = np.eye(2)
+    mats = {"source_cov": eye, "noise1_cov": eye, "noise2_cov": eye, **cov}
+    return RelayModel(channel1=eye, channel2=eye, power=1.0, **mats)
+
+
+# every place that decides "strictly positive definite" reads the one rule
+# spectral.eigs_are_pd; a relative floor there shows at all of them at once
+PD_ENTRY_POINTS = {
+    "SystemModel.R_n": lambda a: SystemModel(channel=np.eye(2), noise_cov=a, n_streams=2, power=1.0),
+    "RelayModel.R_s": lambda a: _relay_with(source_cov=a),
+    "RelayModel.R_n1": lambda a: _relay_with(noise1_cov=a),
+    "RelayModel.R_n2": lambda a: _relay_with(noise2_cov=a),
+    "design_det_min.Pi": lambda a: design_det_min(
+        SystemModel(channel=np.eye(2), noise_cov=np.eye(2), n_streams=2, power=1.0),
+        WeightingOperator(weights=(np.eye(2),), offset=a),
+    ),
+    "pd_roots": pd_roots,
+    "inv_sqrt_pd": inv_sqrt_pd,
+    "logdet_pd": logdet_pd,
+}
+
+
+@pytest.mark.parametrize("entry", list(PD_ENTRY_POINTS))
+@pytest.mark.parametrize("last, is_pd", [(0.0, False), (-1e-300, False), (1e-12, True)])
+def test_one_pd_rule_at_every_entry_point(entry, last, is_pd):
+    a = np.diag([1.0, last])
+    if is_pd:
+        PD_ENTRY_POINTS[entry](a)
+    else:
+        with pytest.raises(NotPD):
+            PD_ENTRY_POINTS[entry](a)
+
+
+def test_pd_roots_are_inverse_square_roots():
+    a = helpers.random_pd(helpers.rng(6), 3)
+    root, inv_root = pd_roots(a)
+    assert helpers.rel_err(root @ root, a) < 1e-12
+    assert helpers.rel_err(root @ inv_root, np.eye(3)) < 1e-12
+    assert np.array_equal(inv_root, inv_sqrt_pd(a))
+    with pytest.raises(NotPD, match="R_x"):
+        pd_roots(np.diag([1.0, 0.0]), "R_x")
 
 
 def test_logdet_pd_matches_slogdet():
