@@ -29,9 +29,16 @@ point-to-point problems and M = C1 for the two relay problems.  Step lengths
 are Barzilai-Borwein ones (Barzilai and Borwein 1988) in the safeguarded
 form of Wen and Yin (2013).
 
-Projected-gradient refinement scores only its live starts: those whose step
-has not fallen below its floor.  A start whose step underflows is dropped for
-good, as a frozen start could never be accepted again.
+Projected-gradient refinement scores only its live starts.  A start freezes
+for good once its step falls below its floor, as it could never be accepted
+again, or once its value has settled: every `_SETTLE_EVERY` iterations the
+live values are compared with the checkpoint copy taken two checks
+(2 `_SETTLE_EVERY` iterations) before, and a start whose value fell by at
+most `_SETTLE_TOL` max(1, |f|) since then freezes.  The window spans two
+checks because in ill-conditioned problems a start still descending can
+reject ten candidates in a row, halving its step each time, before its next
+accepted move.  Both freezes only stop work; a frozen start keeps its best
+point and value.
 """
 
 from __future__ import annotations
@@ -49,6 +56,11 @@ from .spectral import _ct, _inner, _left, _right
 from .weighting import WeightingOperator, check_streams
 
 _POWER_FLOOR = 1e-300
+# value rule of projected_gradient_descent: iterations between checkpoints
+# (a start is judged over the last two) and the relative fall below which it
+# counts as settled
+_SETTLE_EVERY = 10
+_SETTLE_TOL = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,13 +221,18 @@ def projected_gradient_descent(
 
     Per start: a candidate X - eta d along the tangent direction d (see the
     module docstring) is rescaled into the budget and accepted only if it
-    strictly lowers the objective.  After an accepted move s, with y the
-    change in d, the next step is the Barzilai-Borwein length <s, s> /
-    Re<s, y>, or double the step when Re<s, y> <= 0, clipped to [4 floor,
-    1e8 eta0]; a rejected candidate halves the step, and a start freezes once
-    its step underflows its floor.  Each iteration scores only the live
-    (unfrozen) starts, and the gradient at an accepted candidate reuses the
-    state its objective evaluation built.  Returns (values, points).
+    strictly lowers the objective and moves (<s, s> > 0 for the move s; a
+    zero move can read lower only through batch rounding).  After an
+    accepted move, with y the change in d, the next step is the
+    Barzilai-Borwein length <s, s> / Re<s, y>, or double the step when
+    Re<s, y> <= 0, clipped to [4 floor, 1e8 eta0]; a rejected candidate
+    halves the step.  A start freezes once its step underflows its floor, or
+    at a checkpoint (every `_SETTLE_EVERY` iterations) once its value fell by
+    at most `_SETTLE_TOL` max(1, |f|) since the checkpoint before the last
+    one.  `max_iter` caps the iterations either way.  Each iteration scores
+    only the live (unfrozen) starts, and the gradient at an accepted
+    candidate reuses the state its objective evaluation built.  Returns
+    (values, points).
     """
     x = _project_to_budget(problem, np.array(starts, dtype=np.complex128))
     f, state = problem.objective(x, with_state=True)
@@ -227,27 +244,39 @@ def projected_gradient_descent(
     eta_floor = 1e-14 * np.maximum(eta, 1e-12)
     eta_lo, eta_hi = 4.0 * eta_floor, 1e8 * eta
     live = np.arange(x.shape[0])
-    for _ in range(max_iter):
+    # values at the last two checkpoints; no start is judged before the second
+    older, newer = np.full_like(f, np.inf), f.copy()
+    for it in range(1, max_iter + 1):
         if live.size == 0:
             break
         cand = _project_to_budget(problem, x[live] - eta[live, None, None] * d[live])
         fc, state = problem.objective(cand, with_state=True)
         improved = fc < f[live]
         accepted = live[improved]
-        eta[live[~improved]] *= 0.5
         if accepted.size:
             moved = cand[improved]
             step = moved - x[accepted]
+            ss = _inner(step, step)
+            if not ss.all():  # a zero move reads lower only through batch rounding
+                moves = ss > 0.0
+                improved[improved] = moves
+                accepted, moved, step, ss = accepted[moves], moved[moves], step[moves], ss[moves]
+        eta[live[~improved]] *= 0.5
+        if accepted.size:
             x[accepted] = moved
             f[accepted] = fc[improved]
             g_new = problem.gradient(moved, tuple(s[improved] for s in state))
             d_new = _tangent_direction(problem, moved, g_new)
             sy = _inner(step, d_new - d[accepted])
             with np.errstate(over="ignore"):  # a tiny sy gives inf, clipped below
-                bb = np.divide(_inner(step, step), sy, out=2.0 * eta[accepted], where=sy > 0.0)
+                bb = np.divide(ss, sy, out=2.0 * eta[accepted], where=sy > 0.0)
             eta[accepted] = np.clip(bb, eta_lo[accepted], eta_hi[accepted])
             d[accepted] = d_new
         live = live[eta[live] > eta_floor[live]]
+        if it % _SETTLE_EVERY == 0:
+            fl = f[live]
+            live = live[older[live] - fl > _SETTLE_TOL * np.maximum(1.0, np.abs(fl))]
+            older, newer = newer, f.copy()
     return f, x
 
 

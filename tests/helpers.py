@@ -138,15 +138,19 @@ def _direction_reference(problem, x):
     return gm - radial[:, None, None] * x
 
 
-def masked_pgd_reference(problem, starts, max_iter=500):
+def masked_pgd_reference(problem, starts, max_iter=500, value_rule=True):
     """Projected-gradient refinement as first written: a boolean mask of
     active starts, every start scored on every iteration, and each accepted
     point's direction computed afresh from the point alone.  Steps follow
     the tangent direction d = g M^-1 - (Re<g, X> / p(X)) X with
     Barzilai-Borwein lengths <s, s> / Re<s, y> after an accepted move
     (doubling when Re<s, y> <= 0), clipped to [4 floor, 1e8 eta0], and
-    halving on a rejected one.  The library's live-set version must return
-    bitwise the same (values, points).
+    halving on a rejected one; a candidate that reads lower but does not
+    move (<s, s> = 0) is rejected.  A start goes inactive once its step is
+    below its floor or, with `value_rule`, at a check (iterations 20, 30,
+    40, ...) where its value fell by at most 1e-14 max(1, |f|) over the last
+    20 iterations.  The library's live-set version must return bitwise the
+    same (values, points) with the rule on.
     """
     x = _project_reference(problem, np.array(starts, dtype=np.complex128))
     f = problem.objective(x)
@@ -158,21 +162,24 @@ def masked_pgd_reference(problem, starts, max_iter=500):
     eta_floor = 1e-14 * np.maximum(eta0, 1e-12)
     eta = eta0.copy()
     active = np.ones(x.shape[0], dtype=bool)
-    for _ in range(max_iter):
+    f_at = {0: f.copy()}
+    for k in range(max_iter):
         if not np.any(active):
             break
         cand = _project_reference(problem, x - eta[:, None, None] * d)
         fc = problem.objective(cand)
-        improved = active & (fc < f)
+        s_all = cand - x
+        ss_all = _inner_reference(s_all, s_all)
+        improved = active & (fc < f) & (ss_all > 0.0)
         rejected = active & ~improved
         eta[rejected] *= 0.5
         if np.any(improved):
-            s = cand[improved] - x[improved]
+            s = s_all[improved]
             x[improved] = cand[improved]
             f[improved] = fc[improved]
             d_new = _direction_reference(problem, x[improved])
             sy = _inner_reference(s, d_new - d[improved])
-            ss = _inner_reference(s, s)
+            ss = ss_all[improved]
             step = 2.0 * eta[improved]
             bb = sy > 0.0
             with np.errstate(over="ignore"):
@@ -181,7 +188,11 @@ def masked_pgd_reference(problem, starts, max_iter=500):
             hi = 1e8 * eta0[improved]
             eta[improved] = np.minimum(np.maximum(step, lo), hi)
             d[improved] = d_new
-        active = eta > eta_floor
+        active &= eta > eta_floor
+        if value_rule and (k + 1) % 10 == 0:
+            if k + 1 >= 20:
+                active &= f_at[k + 1 - 20] - f > 1e-14 * np.maximum(1.0, np.abs(f))
+            f_at[k + 1] = f.copy()
     return f, x
 
 

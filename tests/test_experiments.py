@@ -115,12 +115,12 @@ def test_reports_are_deterministic_modulo_walltime(mode):
 # here; a different BLAS build may also move the last digits.
 GOLDEN_ORACLE = {
     "design-trace": [(4.817040411704237, -8.881784197001252e-16)],
-    "design-det": [(1.4147404404640478, -4.440892098500626e-16)],
+    "design-det": [(1.414740440464048, -2.220446049250313e-16)],
     "relay-mse": [(1.8695457776252287, -1.5543122344752192e-15)],
     "relay-capacity": [(1.4384651267312702, -6.661338147750939e-16)],
     "oracle-compare": [
         (4.817040411704237, -8.881784197001252e-16),
-        (1.4147404404640478, -4.440892098500626e-16),
+        (1.414740440464048, -2.220446049250313e-16),
     ],
 }
 
