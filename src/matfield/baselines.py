@@ -30,15 +30,15 @@ are Barzilai-Borwein ones (Barzilai and Borwein 1988) in the safeguarded
 form of Wen and Yin (2013).
 
 Projected-gradient refinement scores only its live starts.  A start freezes
-for good once its step falls below its floor, as it could never be accepted
-again, or once its value has settled: every `_SETTLE_EVERY` iterations the
+for good once its value has settled: every `_SETTLE_EVERY` iterations the
 live values are compared with the checkpoint copy taken two checks
 (2 `_SETTLE_EVERY` iterations) before, and a start whose value fell by at
 most `_SETTLE_TOL` max(1, |f|) since then freezes.  The window spans two
 checks because in ill-conditioned problems a start still descending can
 reject ten candidates in a row, halving its step each time, before its next
-accepted move.  Both freezes only stop work; a frozen start keeps its best
-point and value.
+accepted move.  A start whose candidates are all rejected keeps its value,
+so it freezes within three checks of its last accepted move.  Freezing
+only stops work; a frozen start keeps its best point and value.
 """
 
 from __future__ import annotations
@@ -220,19 +220,18 @@ def projected_gradient_descent(
     """Refine a stack of feasible starts by Riemannian descent on the power sphere.
 
     Per start: a candidate X - eta d along the tangent direction d (see the
-    module docstring) is rescaled into the budget and accepted only if it
-    strictly lowers the objective and moves (<s, s> > 0 for the move s; a
-    zero move can read lower only through batch rounding).  After an
+    module docstring) is rescaled into the budget and accepted if and only
+    if it strictly lowers the objective and moves (<s, s> > 0 for the move
+    s; a zero move can read lower only through batch rounding).  After an
     accepted move, with y the change in d, the next step is the
     Barzilai-Borwein length <s, s> / Re<s, y>, or double the step when
-    Re<s, y> <= 0, clipped to [4 floor, 1e8 eta0]; a rejected candidate
-    halves the step.  A start freezes once its step underflows its floor, or
-    at a checkpoint (every `_SETTLE_EVERY` iterations) once its value fell by
-    at most `_SETTLE_TOL` max(1, |f|) since the checkpoint before the last
-    one.  `max_iter` caps the iterations either way.  Each iteration scores
-    only the live (unfrozen) starts, and the gradient at an accepted
-    candidate reuses the state its objective evaluation built.  Returns
-    (values, points).
+    Re<s, y> <= 0, capped at 1e8 eta0 (a tiny Re<s, y> overflows the length
+    to inf); a rejected candidate halves the step.  A start freezes at a
+    checkpoint (every `_SETTLE_EVERY` iterations) once its value fell by at
+    most `_SETTLE_TOL` max(1, |f|) since the checkpoint before the last one,
+    and `max_iter` caps the iterations.  Each iteration scores only the live
+    (unfrozen) starts, and the gradient at an accepted candidate reuses the
+    state its objective evaluation built.  Returns (values, points).
     """
     x = _project_to_budget(problem, np.array(starts, dtype=np.complex128))
     f, state = problem.objective(x, with_state=True)
@@ -241,8 +240,7 @@ def projected_gradient_descent(
     gnorm = np.sqrt(np.sum(np.abs(g) ** 2, axis=(1, 2)))
     xnorm = np.sqrt(np.sum(np.abs(x) ** 2, axis=(1, 2)))
     eta = 0.25 * np.maximum(xnorm, np.sqrt(problem.power)) / np.maximum(gnorm, 1e-12)
-    eta_floor = 1e-14 * np.maximum(eta, 1e-12)
-    eta_lo, eta_hi = 4.0 * eta_floor, 1e8 * eta
+    eta_hi = 1e8 * eta
     live = np.arange(x.shape[0])
     # values at the last two checkpoints; no start is judged before the second
     older, newer = np.full_like(f, np.inf), f.copy()
@@ -251,28 +249,23 @@ def projected_gradient_descent(
             break
         cand = _project_to_budget(problem, x[live] - eta[live, None, None] * d[live])
         fc, state = problem.objective(cand, with_state=True)
-        improved = fc < f[live]
+        step = cand - x[live]
+        ss = _inner(step, step)
+        # a zero move reads lower only through batch rounding
+        improved = (fc < f[live]) & (ss > 0.0)
         accepted = live[improved]
-        if accepted.size:
-            moved = cand[improved]
-            step = moved - x[accepted]
-            ss = _inner(step, step)
-            if not ss.all():  # a zero move reads lower only through batch rounding
-                moves = ss > 0.0
-                improved[improved] = moves
-                accepted, moved, step, ss = accepted[moves], moved[moves], step[moves], ss[moves]
         eta[live[~improved]] *= 0.5
         if accepted.size:
+            moved = cand[improved]
             x[accepted] = moved
             f[accepted] = fc[improved]
             g_new = problem.gradient(moved, tuple(s[improved] for s in state))
             d_new = _tangent_direction(problem, moved, g_new)
-            sy = _inner(step, d_new - d[accepted])
-            with np.errstate(over="ignore"):  # a tiny sy gives inf, clipped below
-                bb = np.divide(ss, sy, out=2.0 * eta[accepted], where=sy > 0.0)
-            eta[accepted] = np.clip(bb, eta_lo[accepted], eta_hi[accepted])
+            sy = _inner(step[improved], d_new - d[accepted])
+            with np.errstate(over="ignore"):  # a tiny sy gives inf, capped below
+                bb = np.divide(ss[improved], sy, out=2.0 * eta[accepted], where=sy > 0.0)
+            eta[accepted] = np.minimum(bb, eta_hi[accepted])
             d[accepted] = d_new
-        live = live[eta[live] > eta_floor[live]]
         if it % _SETTLE_EVERY == 0:
             fl = f[live]
             live = live[older[live] - fl > _SETTLE_TOL * np.maximum(1.0, np.abs(fl))]

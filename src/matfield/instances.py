@@ -147,21 +147,31 @@ def _model_from_json(make, **fields):
         raise ConfigError(f"instance: {exc}") from None
 
 
-def system_from_json(obj, power: float) -> SystemModel:
-    """Build a SystemModel from config fields H, R_n (+ optional n_streams)."""
+def _instance_fields(obj, required: tuple, optional: tuple = ()) -> None:
+    """ConfigError unless obj is an object with every required field and no
+    field outside required + optional; a missing field is named first."""
     if not isinstance(obj, dict):
         raise ConfigError("instance: expected an object")
-    for key in ("H", "R_n"):
+    allowed = required + optional
+    for key in (*required, *obj):
         if key not in obj:
             raise ConfigError(f"instance.{key}: missing")
+        if key not in allowed:
+            raise ConfigError(f"instance.{key}: unknown field, expected one of {', '.join(allowed)}")
+
+
+def system_from_json(obj, power: float) -> SystemModel:
+    """Build a SystemModel from config fields H, R_n (+ optional n_streams);
+    the point instance may also carry the weighting's W and Pi."""
+    _instance_fields(obj, ("H", "R_n"), ("n_streams", "W", "Pi"))
     h = matrix_from_json(obj["H"], "instance.H")
     r_n = _hermitian_from_json(obj, "R_n")
     streams = obj.get("n_streams")
     if streams is None:
         streams = h.shape[1]
-    if isinstance(streams, bool) or not isinstance(streams, int) or streams < 1:
+    if not is_integer(streams) or streams < 1:
         raise ConfigError(f"instance.n_streams: expected a positive integer, got {streams!r}")
-    return _model_from_json(SystemModel, channel=h, noise_cov=r_n, n_streams=streams, power=power)
+    return _model_from_json(SystemModel, channel=h, noise_cov=r_n, n_streams=int(streams), power=power)
 
 
 def weighting_from_json(obj) -> WeightingOperator:
@@ -181,12 +191,10 @@ def weighting_from_json(obj) -> WeightingOperator:
 
 def relay_from_json(obj, power: float) -> RelayModel:
     """Build a RelayModel from config fields H1, H2, R_s, R_n1, R_n2."""
-    if not isinstance(obj, dict):
-        raise ConfigError("instance: expected an object")
+    keys = ("H1", "H2", "R_s", "R_n1", "R_n2")
+    _instance_fields(obj, keys)
     mats = {}
-    for key in ("H1", "H2", "R_s", "R_n1", "R_n2"):
-        if key not in obj:
-            raise ConfigError(f"instance.{key}: missing")
+    for key in keys:
         if key.startswith("H"):
             mats[key] = matrix_from_json(obj[key], f"instance.{key}")
         else:

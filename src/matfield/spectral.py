@@ -125,14 +125,11 @@ def _phase_fix(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _tie_order(values: np.ndarray, cols: np.ndarray, descending: bool) -> np.ndarray:
     """Stable ordering with the deterministic secondary keys described above."""
-    n, k = cols.shape
-    first_idx = np.zeros(k, dtype=np.int64)
-    first_sign = np.zeros(k, dtype=np.int64)
-    for j in range(k):
-        nz = np.flatnonzero(np.abs(cols[:, j]) > _ENTRY_TOL)
-        if nz.size:
-            first_idx[j] = nz[0]
-            first_sign[j] = int(np.sign(cols[nz[0], j].real))
+    big = np.abs(cols) > _ENTRY_TOL
+    # argmax finds each column's first entry above tolerance; a column with
+    # none keeps index 0, where its masked sign is 0
+    first_idx = np.argmax(big, axis=0)
+    first_sign = (np.sign(cols.real) * big)[first_idx, np.arange(cols.shape[1])]
     primary = -values if descending else values
     # np.lexsort: last key is primary, earlier keys break ties, stable overall
     return np.lexsort((first_sign, first_idx, primary))

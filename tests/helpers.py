@@ -144,13 +144,14 @@ def masked_pgd_reference(problem, starts, max_iter=500, value_rule=True):
     point's direction computed afresh from the point alone.  Steps follow
     the tangent direction d = g M^-1 - (Re<g, X> / p(X)) X with
     Barzilai-Borwein lengths <s, s> / Re<s, y> after an accepted move
-    (doubling when Re<s, y> <= 0), clipped to [4 floor, 1e8 eta0], and
-    halving on a rejected one; a candidate that reads lower but does not
-    move (<s, s> = 0) is rejected.  A start goes inactive once its step is
-    below its floor or, with `value_rule`, at a check (iterations 20, 30,
-    40, ...) where its value fell by at most 1e-14 max(1, |f|) over the last
-    20 iterations.  The library's live-set version must return bitwise the
-    same (values, points) with the rule on.
+    (doubling when Re<s, y> <= 0), capped at 1e8 eta0, and halving on a
+    rejected one; a candidate that reads lower but does not move
+    (<s, s> = 0) is rejected.  With `value_rule`, a start goes inactive at a
+    check (iterations 20, 30, 40, ...) where its value fell by at most
+    1e-14 max(1, |f|) over the last 20 iterations; the library's live-set
+    version must return bitwise the same (values, points).  Without it, the
+    older step floor stops a start instead: it goes inactive once its step
+    is below 1e-14 eta0, and the BB length is clipped below at 4e-14 eta0.
     """
     x = _project_reference(problem, np.array(starts, dtype=np.complex128))
     f = problem.objective(x)
@@ -159,7 +160,7 @@ def masked_pgd_reference(problem, starts, max_iter=500, value_rule=True):
     gnorm = np.sqrt(np.sum(np.abs(g) ** 2, axis=(1, 2)))
     xnorm = np.sqrt(np.sum(np.abs(x) ** 2, axis=(1, 2)))
     eta0 = 0.25 * np.maximum(xnorm, np.sqrt(problem.power)) / np.maximum(gnorm, 1e-12)
-    eta_floor = 1e-14 * np.maximum(eta0, 1e-12)
+    eta_floor = np.zeros_like(eta0) if value_rule else 1e-14 * np.maximum(eta0, 1e-12)
     eta = eta0.copy()
     active = np.ones(x.shape[0], dtype=bool)
     f_at = {0: f.copy()}
@@ -188,11 +189,13 @@ def masked_pgd_reference(problem, starts, max_iter=500, value_rule=True):
             hi = 1e8 * eta0[improved]
             eta[improved] = np.minimum(np.maximum(step, lo), hi)
             d[improved] = d_new
-        active &= eta > eta_floor
-        if value_rule and (k + 1) % 10 == 0:
-            if k + 1 >= 20:
-                active &= f_at[k + 1 - 20] - f > 1e-14 * np.maximum(1.0, np.abs(f))
-            f_at[k + 1] = f.copy()
+        if value_rule:
+            if (k + 1) % 10 == 0:
+                if k + 1 >= 20:
+                    active &= f_at[k + 1 - 20] - f > 1e-14 * np.maximum(1.0, np.abs(f))
+                f_at[k + 1] = f.copy()
+        else:
+            active &= eta > eta_floor
     return f, x
 
 

@@ -197,7 +197,7 @@ def test_a_settled_start_leaves_the_live_set():
     counted = dataclasses.replace(problem, objective=counting_objective)
     values, _ = projected_gradient_descent(counted, starts)
     # call 0 scores the starts and call k is iteration k; the optimal start's
-    # value is flat at once, so it leaves at a checkpoint, not at the step floor
+    # value is flat at once, so it leaves at the second checkpoint
     assert near_optimum[0]
     last_live = max(k for k, hit in enumerate(near_optimum) if hit)
     assert last_live <= 2 * baselines._SETTLE_EVERY

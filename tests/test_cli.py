@@ -177,6 +177,10 @@ RELAY = {"H1": ONE, "H2": ONE, "R_s": ONE, "R_n1": ONE, "R_n2": ONE}
         ("verify-inequalities", RELAY, "instance"),
         ("design-trace", {"H": ROW3, "R_n": ONE}, "dims"),
         ("design-det", {**POINT, "W": [ONE, ONE]}, "instance.W"),
+        ("design-trace", {**POINT, "n_stream": 1}, "instance.n_stream"),
+        ("design-trace", {**POINT, "H1": ONE}, "instance.H1"),
+        ("relay-mse", {**RELAY, "H": ONE}, "instance.H:"),
+        ("verify-equivalence", {**RELAY, "n_streams": 1}, "instance.n_streams"),
     ],
     ids=[
         "non-pd-noise",
@@ -195,6 +199,10 @@ RELAY = {"H1": ONE, "H2": ONE, "R_s": ONE, "R_n1": ONE, "R_n2": ONE}
         "inequalities-take-no-instance",
         "streams-differ-from-dims",
         "several-weight-factors",
+        "misspelt-point-field",
+        "stray-relay-field-in-point-instance",
+        "stray-point-field-in-relay-instance",
+        "streams-in-relay-instance",
     ],
 )
 def test_bad_instance_exits_two(tmp_path, capsys, mode, instance, field):
@@ -203,6 +211,13 @@ def test_bad_instance_exits_two(tmp_path, capsys, mode, instance, field):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert field in err
+
+
+def test_integral_float_streams_count(tmp_path):
+    # n_streams follows the integer rule of dims: 2.0 is 2
+    instance = {"H": EYE2, "R_n": EYE2, "n_streams": 2.0}
+    cfg = write_config(tmp_path, {"trials": 1, "budget": 20, "instance": instance})
+    assert main(["design-trace", "--config", cfg]) == 0
 
 
 def test_demo_schur_ignores_the_weighting(tmp_path):

@@ -20,6 +20,7 @@ from matfield import (
     ordered_svd,
     symmetrize,
 )
+from matfield import spectral
 from matfield.spectral import pd_roots
 
 import helpers
@@ -73,6 +74,56 @@ def test_ordered_svd_deterministic_on_ties():
     out2 = ordered_svd(a.copy())
     assert np.array_equal(out1.u, out2.u)
     assert np.array_equal(out1.v, out2.v)
+
+
+def _first_entry_keys(cols):
+    """(index, sign of the real part) of each column's first entry above
+    1e-12 in magnitude; (0, 0) for a column with none."""
+    keys = []
+    for col in cols.T:
+        nz = np.flatnonzero(np.abs(col) > 1e-12)
+        keys.append((int(nz[0]), int(np.sign(col[nz[0]].real))) if nz.size else (0, 0))
+    return keys
+
+
+def _tied_keys_in_order(values, cols):
+    """Asserts the tie-break within each run of equal values; returns the
+    number of adjacent equal pairs checked."""
+    keys = _first_entry_keys(cols)
+    ties = 0
+    for j in range(1, values.size):
+        if values[j] == values[j - 1]:
+            ties += 1
+            assert keys[j - 1] <= keys[j]
+    return ties
+
+
+def test_tie_break_orders_repeated_values_by_first_entry():
+    gen = helpers.rng(23)
+    ties = 0
+    for n in (2, 3):
+        # kron(I, B) repeats each singular value, kron(I, A) each eigenvalue
+        out = ordered_svd(np.kron(np.eye(n), helpers.crandn(gen, 2, 2)))
+        ties += _tied_keys_in_order(out.s, out.u)
+        evd = ordered_evd(np.kron(np.eye(n), helpers.random_pd(gen, 2)), "increasing")
+        ties += _tied_keys_in_order(evd.values, evd.vectors)
+    evd = ordered_evd(np.diag([1.0, 3.0, 1.0, 3.0, 2.0]))
+    ties += _tied_keys_in_order(evd.values, evd.vectors)
+    assert ties >= 10
+    # the sign key: equal values and equal first indices, a tiny first entry
+    # skipped and a column with no entry above tolerance
+    cols = np.array(
+        [
+            [0.6, -0.6, 1e-13, 0.6, 1e-13],
+            [0.8, 0.8, -0.6, -0.8, 1e-13],
+            [0.0, 0.0, 0.8, 0.0, 0.0],
+        ],
+        dtype=np.complex128,
+    )
+    values = np.array([2.0, 2.0, 2.0, 2.0, 2.0])
+    order = spectral._tie_order(values, cols, descending=True)
+    assert order.tolist() == [1, 4, 0, 3, 2]
+    assert _tied_keys_in_order(values[order], cols[:, order]) == 4
 
 
 def test_ordered_svd_rejects_nonfinite():
