@@ -45,7 +45,6 @@ from .errors import (
 )
 from .experiments import DEFAULT_TOLERANCES, ExperimentConfig, build_config, run
 from .instances import (
-    generate_instance,
     generate_relay,
     generate_system,
     generate_weighting,
@@ -64,7 +63,6 @@ from .relay import (
     RelayModel,
     design_relay_capacity,
     design_relay_sum_mse,
-    first_hop_gram,
     forwarding_to_precoder,
     precoder_to_forwarding,
     relay_capacity,
@@ -77,10 +75,7 @@ from .rng import SplitMix64, derive_seed
 from .spectral import (
     OrderedEVD,
     OrderedSVD,
-    hermitian_sqrt,
     hermitize,
-    inv_sqrt_pd,
-    is_psd,
     loewner_leq,
     logdet_pd,
     ordered_evd,

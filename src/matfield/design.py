@@ -27,10 +27,10 @@ from .spectral import (
     eigs_are_pd,
     eigs_are_psd,
     hermitize,
-    inv_sqrt_pd,
     logdet_pd,
     ordered_evd,
     ordered_svd,
+    pd_roots,
     symmetrize,
 )
 from .weighting import WeightingOperator, check_streams, weighted_mse_of_precoder
@@ -82,7 +82,7 @@ class PrecoderDesign:
 
 def whiten_channel(model: SystemModel) -> WhitenedChannel:
     """Ordered spectrum and right singular basis of R_n^{-1/2} H."""
-    svd = ordered_svd(inv_sqrt_pd(model.noise_cov, "noise covariance R_n") @ model.channel)
+    svd = ordered_svd(pd_roots(model.noise_cov, "noise covariance R_n")[1] @ model.channel)
     lam = np.zeros(model.n_tx, dtype=np.float64)
     lam[: svd.s.size] = svd.s**2
     return WhitenedChannel(eigenvalues=lam, basis=svd.v)
@@ -152,8 +152,8 @@ def _check_waterfill_inputs(a, b, power: float) -> tuple[np.ndarray, np.ndarray]
         np.diff(bv) > 1e-12 * max(1.0, float(bv.max(initial=0.0)))
     ):
         raise PreconditionError("spectra must be sorted in decreasing order")
-    if not power > 0.0:
-        raise PreconditionError("power budget must be positive")
+    if not 0.0 < power < np.inf:
+        raise PreconditionError("power budget must be positive and finite")
     return av, bv
 
 
@@ -400,7 +400,7 @@ def design_det_min(
         if not eigs_are_pd(np.linalg.eigvalsh(pi)):
             raise NotPD("offset matrix is singular even after jitter")
         op = WeightingOperator(weights=op.weights, offset=pi)
-    evd = ordered_evd(symmetrize(w @ np.linalg.solve(op.offset, w.conj().T)), "decreasing")
+    evd = ordered_evd(symmetrize(w @ np.linalg.solve(op.offset, w.conj().T)))
     return _structured_design(
         model, op, np.clip(evd.values, 0.0, None), evd.vectors, waterfill_logdet, logdet_pd
     )

@@ -44,12 +44,11 @@ from .instances import (
     generate_relay,
     generate_system,
     generate_weighting,
-    is_integer,
     relay_from_json,
     system_from_json,
     weighting_from_json,
 )
-from .mimo import lmmse_equalizer, mse_matrix, transmit_power
+from .mimo import is_integer, lmmse_equalizer, mse_matrix, transmit_power
 from .relay import (
     design_relay_capacity,
     design_relay_sum_mse,
@@ -173,6 +172,10 @@ def build_config(data: dict, mode: Optional[str] = None, **overrides) -> Experim
         raise ConfigError("instance: expected an object")
     if instance is not None and merged["mode"] == "verify-inequalities":
         raise ConfigError("instance: verify-inequalities draws its own matrix pairs and takes none")
+    if instance is not None and merged["mode"] == "demo-schur":
+        for key in ("W", "Pi"):
+            if key in instance:
+                raise ConfigError(f"instance.{key}: demo-schur builds its own weighting and takes none")
     if not isinstance(merged["jitter_pi"], bool):
         raise ConfigError("jitter_pi: expected true or false")
     return ExperimentConfig(**{**merged, "dims": dims, "power": power, "tolerances": dict(tol)})

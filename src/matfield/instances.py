@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, InvalidMatrix, NotPD, NotPSD, ShapeError
-from .mimo import SystemModel
+from .mimo import SystemModel, is_integer
 from .relay import RelayModel
 from .rng import SplitMix64
 from .spectral import hermitize, symmetrize
@@ -31,13 +31,6 @@ _COV_RIDGE = 0.1
 def _pd_cov(stream: SplitMix64, n: int) -> np.ndarray:
     b = stream.complex_normal(n, n)
     return symmetrize(b.conj().T @ b + _COV_RIDGE * np.eye(n))
-
-
-def is_integer(value) -> bool:
-    """True for an integer or an integral float; False for a bool, a string or 2.7."""
-    if isinstance(value, (int, np.integer)):
-        return not isinstance(value, bool)
-    return isinstance(value, float) and value.is_integer()
 
 
 def check_dims(dims) -> tuple[int, int, int, int]:
@@ -81,15 +74,6 @@ def generate_relay(seed: int, dims, power: float) -> RelayModel:
     return RelayModel(
         channel1=h1, channel2=h2, source_cov=r_s, noise1_cov=r_n1, noise2_cov=r_n2, power=power
     )
-
-
-def generate_instance(seed: int, dims, power: float, kind: str = "system"):
-    """Dispatching helper: kind is "system" or "relay"."""
-    if kind == "system":
-        return generate_system(seed, dims, power)
-    if kind == "relay":
-        return generate_relay(seed, dims, power)
-    raise ConfigError(f"unknown instance kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,13 @@ from .errors import InvalidWeight, NumericalError, ShapeError
 from .spectral import _ct, _inner, _left, as_covariance, as_matrix, as_shaped, symmetrize
 
 
+def is_integer(value) -> bool:
+    """True for an integer or an integral float; False for a bool, a string or 2.7."""
+    if isinstance(value, (int, np.integer)):
+        return not isinstance(value, bool)
+    return isinstance(value, float) and value.is_integer()
+
+
 @dataclass(frozen=True, eq=False)
 class SystemModel:
     """Channel, noise covariance, stream count, and transmit power budget.
@@ -38,9 +45,9 @@ class SystemModel:
     def __post_init__(self):
         h = as_matrix(self.channel)
         r = as_covariance(self.noise_cov, h.shape[0], "noise covariance R_n")
-        if int(self.n_streams) < 1:
-            raise ValueError("n_streams must be at least 1")
-        if not 0.0 < float(self.power) < np.inf:
+        if not is_integer(self.n_streams) or self.n_streams < 1:
+            raise ValueError(f"n_streams must be an integer of at least 1, got {self.n_streams!r}")
+        if isinstance(self.power, bool) or not 0.0 < float(self.power) < np.inf:
             raise ValueError("power budget must be positive and finite")
         object.__setattr__(self, "channel", h)
         object.__setattr__(self, "noise_cov", r)

@@ -45,7 +45,8 @@ class RelayModel:
     noise2_cov : n_dst x n_dst, strictly positive definite R_n2
     power      : relay budget, Tr(P C1 P^H) <= power
 
-    Construction also sets c1 (C1 = first_hop_gram) and s_congruence.
+    Construction also sets c1 (C1 = H1 R_s H1^H + R_n1, the relay-input
+    covariance, always PD) and s_congruence.
     """
 
     channel1: np.ndarray
@@ -61,7 +62,7 @@ class RelayModel:
         rs = as_covariance(self.source_cov, h1.shape[1], "source covariance R_s")
         r1 = as_covariance(self.noise1_cov, h1.shape[0], "relay noise covariance R_n1")
         r2 = as_covariance(self.noise2_cov, h2.shape[0], "destination noise covariance R_n2")
-        if not 0.0 < float(self.power) < np.inf:
+        if isinstance(self.power, bool) or not 0.0 < float(self.power) < np.inf:
             raise ValueError("relay power budget must be positive and finite")
         object.__setattr__(self, "channel1", h1)
         object.__setattr__(self, "channel2", h2)
@@ -71,8 +72,9 @@ class RelayModel:
         object.__setattr__(self, "power", float(self.power))
         # derived matrices of the chain kernels: C1 and the congruence
         # G -> S^H G S with S = H1 R_s (n_relay_rx x n_src), and its adjoint
-        object.__setattr__(self, "c1", first_hop_gram(self))
-        object.__setattr__(self, "s_congruence", Congruence((h1 @ rs,)))
+        s_map = h1 @ rs
+        object.__setattr__(self, "c1", symmetrize(s_map @ h1.conj().T + r1))
+        object.__setattr__(self, "s_congruence", Congruence((s_map,)))
 
     @property
     def n_src(self) -> int:
@@ -104,12 +106,6 @@ class RelayModel:
     @cached_property
     def _source_trace(self) -> float:
         return float(np.real(np.trace(self.source_cov)))
-
-
-def first_hop_gram(model: RelayModel) -> np.ndarray:
-    """C1 = H1 R_s H1^H + R_n1, the relay-input covariance (always PD)."""
-    h1 = model.channel1
-    return symmetrize(h1 @ model.source_cov @ h1.conj().T + model.noise1_cov)
 
 
 def _check_forwarding(model: RelayModel, forwarding) -> np.ndarray:

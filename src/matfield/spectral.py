@@ -2,14 +2,14 @@
 
 Ordered singular/eigen decompositions with a fixed tie-break and phase
 convention, the PD and PSD rules and the covariance check built on them,
-eigen-rebuilds, Hermitian square roots, log-determinants, and Loewner-order
+eigen-rebuilds, PD square roots, log-determinants, and Loewner-order
 comparisons.  Everything downstream (model, design, relay) leans on these
 conventions, so repeated calls on identical input bytes must return
 identical factors.  The model layer's formulas are written in
 the stack kernels at the end.
 
 Conventions:
-  * singular values / eigenvalues are sorted (default: decreasing) with a
+  * singular values / eigenvalues are sorted decreasing with a
     stable tie-break on (value, index of first non-negligible vector entry,
     sign of its real part);
   * every vector is scaled so its largest-magnitude entry is real positive
@@ -123,16 +123,15 @@ def _phase_fix(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cols * factors[None, :], factors
 
 
-def _tie_order(values: np.ndarray, cols: np.ndarray, descending: bool) -> np.ndarray:
-    """Stable ordering with the deterministic secondary keys described above."""
+def _tie_order(values: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Stable decreasing order with the deterministic secondary keys described above."""
     big = np.abs(cols) > _ENTRY_TOL
     # argmax finds each column's first entry above tolerance; a column with
     # none keeps index 0, where its masked sign is 0
     first_idx = np.argmax(big, axis=0)
     first_sign = (np.sign(cols.real) * big)[first_idx, np.arange(cols.shape[1])]
-    primary = -values if descending else values
     # np.lexsort: last key is primary, earlier keys break ties, stable overall
-    return np.lexsort((first_sign, first_idx, primary))
+    return np.lexsort((first_sign, first_idx, -values))
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,7 +145,7 @@ class OrderedSVD:
 
 @dataclass(frozen=True, eq=False)
 class OrderedEVD:
-    """Eigendecomposition A = vectors @ diag(values) @ vectors^H."""
+    """Eigendecomposition A = vectors @ diag(values) @ vectors^H, values decreasing."""
 
     values: np.ndarray
     vectors: np.ndarray
@@ -166,7 +165,7 @@ def ordered_svd(a) -> OrderedSVD:
     v = v.copy()
     u[:, :k] = paired_u
     v[:, :k] = v[:, :k] * factors[None, :]
-    order = _tie_order(s, u[:, :k], descending=True)
+    order = _tie_order(s, u[:, :k])
     u[:, :k] = u[:, order]
     v[:, :k] = v[:, order]
     s = s[order]
@@ -177,62 +176,28 @@ def ordered_svd(a) -> OrderedSVD:
     return OrderedSVD(u=u, s=s, v=v)
 
 
-def ordered_evd(a, direction: str = "decreasing") -> OrderedEVD:
-    """Eigendecomposition of a Hermitian matrix with ordered eigenvalues.
+def ordered_evd(a) -> OrderedEVD:
+    """Eigendecomposition of a Hermitian matrix with decreasing eigenvalues.
 
-    direction is "decreasing" (default) or "increasing".  Raises
-    InvalidMatrix when the input is not Hermitian to tolerance.
+    Raises InvalidMatrix when the input is not Hermitian to tolerance.
     """
-    if direction not in ("decreasing", "increasing"):
-        raise ValueError(f"unknown direction {direction!r}")
     h = hermitize(a)
     try:
         w, u = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise InvalidMatrix(f"eigendecomposition did not converge: {exc}") from None
     u, _ = _phase_fix(u)
-    order = _tie_order(w, u, descending=(direction == "decreasing"))
+    order = _tie_order(w, u)
     return OrderedEVD(values=w[order], vectors=u[:, order])
-
-
-def is_psd(a, rtol: float = PSD_RTOL) -> bool:
-    """True when min eigenvalue >= -rtol * max|eigenvalue|."""
-    return eigs_are_psd(np.linalg.eigvalsh(hermitize(a)), rtol)
-
-
-def hermitian_sqrt(a) -> np.ndarray:
-    """Hermitian PSD square root S with S @ S = A.
-
-    Eigenvalues in [-PSD_RTOL * ||A||, 0) are treated as rounding noise and
-    clipped to zero; anything more negative raises NotPSD.
-    """
-    h = hermitize(a)
-    w, u = np.linalg.eigh(h)
-    if not eigs_are_psd(w):
-        raise NotPSD(
-            "matrix has eigenvalue {:.3e} below the PSD tolerance".format(float(w.min()))
-        )
-    return from_eigs(u, np.sqrt(np.clip(w, 0.0, None)))
-
-
-def _pd_eigh(a, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """(eigenvectors, sqrt of eigenvalues) of a Hermitian A that must be PD."""
-    w, u = np.linalg.eigh(hermitize(a))
-    if not eigs_are_pd(w):
-        raise NotPD(f"{name} is not strictly positive definite")
-    return u, np.sqrt(w)
 
 
 def pd_roots(a, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
     """(A^{1/2}, A^{-1/2}) of a Hermitian strictly positive definite A, from one eigh."""
-    u, root = _pd_eigh(a, name)
+    w, u = np.linalg.eigh(hermitize(a))
+    if not eigs_are_pd(w):
+        raise NotPD(f"{name} is not strictly positive definite")
+    root = np.sqrt(w)
     return from_eigs(u, root), from_eigs(u, 1.0 / root)
-
-
-def inv_sqrt_pd(a, name: str = "matrix") -> np.ndarray:
-    """A^{-1/2} of a Hermitian strictly positive definite A: pd_roots without A^{1/2}."""
-    u, root = _pd_eigh(a, name)
-    return from_eigs(u, 1.0 / root)
 
 
 def logdet_pd(a) -> float:

@@ -19,7 +19,6 @@ from matfield import (
     design_relay_sum_mse,
     design_trace_min,
     det_sum_lower_bound,
-    first_hop_gram,
     forwarding_to_precoder,
     from_classical_weights,
     lmmse_equalizer,
@@ -404,7 +403,7 @@ def test_criterion_11_relay_design_optimality():
     worst_grid = 0.0
     for trial in range(10):
         m = generate_relay(derive_seed(SEED, 6, trial), (1, 1, 1, 1), 3.0)
-        c1 = first_hop_gram(m)[0, 0].real
+        c1 = m.c1[0, 0].real
         p2 = np.append(np.arange(0.0, 3.0 / c1, 1e-4), 3.0 / c1)
         h1s = abs(m.channel1[0, 0]) ** 2
         h2s = abs(m.channel2[0, 0]) ** 2

@@ -181,6 +181,8 @@ RELAY = {"H1": ONE, "H2": ONE, "R_s": ONE, "R_n1": ONE, "R_n2": ONE}
         ("design-trace", {**POINT, "H1": ONE}, "instance.H1"),
         ("relay-mse", {**RELAY, "H": ONE}, "instance.H:"),
         ("verify-equivalence", {**RELAY, "n_streams": 1}, "instance.n_streams"),
+        ("demo-schur", {**POINT, "W": EYE2}, "instance.W"),
+        ("demo-schur", {"H": ONE, "R_n": ONE, "Pi": ONE}, "instance.Pi"),
     ],
     ids=[
         "non-pd-noise",
@@ -203,6 +205,8 @@ RELAY = {"H1": ONE, "H2": ONE, "R_s": ONE, "R_n1": ONE, "R_n2": ONE}
         "stray-relay-field-in-point-instance",
         "stray-point-field-in-relay-instance",
         "streams-in-relay-instance",
+        "demo-schur-takes-no-weight",
+        "demo-schur-takes-no-offset",
     ],
 )
 def test_bad_instance_exits_two(tmp_path, capsys, mode, instance, field):
@@ -221,9 +225,9 @@ def test_integral_float_streams_count(tmp_path):
 
 
 def test_demo_schur_ignores_the_weighting(tmp_path):
-    for instance in ({"H": ROW3, "R_n": ONE}, {**POINT, "W": [ONE, ONE]}):
-        cfg = write_config(tmp_path, {"trials": 1, "instance": instance})
-        assert main(["demo-schur", "--config", cfg]) == 0
+    # demo-schur builds its own weighting, so the streams need not match dims
+    cfg = write_config(tmp_path, {"trials": 1, "instance": {"H": ROW3, "R_n": ONE}})
+    assert main(["demo-schur", "--config", cfg]) == 0
 
 
 def test_verify_equivalence_runs_on_the_given_instance(tmp_path, monkeypatch):

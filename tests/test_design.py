@@ -207,6 +207,13 @@ def test_waterfill_trace_rejects_unsorted():
         waterfill_trace(np.array([1.0, 2.0]), np.array([1.0, 1.0]), 1.0)
 
 
+@pytest.mark.parametrize("solve", [waterfill_trace, waterfill_logdet])
+@pytest.mark.parametrize("power", [0.0, -1.0, float("inf"), float("nan")])
+def test_waterfill_rejects_bad_budget(solve, power):
+    with pytest.raises(PreconditionError, match="power budget must be positive and finite"):
+        solve(np.array([2.0, 1.0]), np.array([1.0, 0.5]), power)
+
+
 def test_waterfill_logdet_single_mode():
     x, _ = waterfill_logdet(np.array([1.0]), np.array([1.0]), 7.0)
     assert abs(x[0] - 7.0) < 1e-9

@@ -3,7 +3,6 @@ import pytest
 
 from matfield import ConfigError
 from matfield.instances import (
-    generate_instance,
     generate_relay,
     generate_system,
     generate_weighting,
@@ -55,16 +54,9 @@ def test_generated_shapes():
 def test_instance_sweep_valid():
     # every generated model passes its own construction validation
     for seed in range(1000):
-        generate_instance(seed, (2, 2, 2, 2), 4.0, "system")
+        generate_system(seed, (2, 2, 2, 2), 4.0)
     for seed in range(100):
-        generate_instance(seed, (2, 2, 2, 2), 4.0, "relay")
-
-
-def test_generate_instance_kind_routing():
-    assert generate_instance(5, DIMS, 4.0, "system").channel.shape == (3, 2)
-    assert generate_instance(5, DIMS, 4.0, "relay").channel2.shape == (3, 2)
-    with pytest.raises(ConfigError):
-        generate_instance(5, DIMS, 4.0, "bogus")
+        generate_relay(seed, (2, 2, 2, 2), 4.0)
 
 
 def test_bad_dims_rejected():

@@ -182,9 +182,16 @@ def test_model_validates_scalars():
         SystemModel(channel=np.eye(2), noise_cov=np.eye(2), n_streams=0, power=1.0)
     with pytest.raises(Exception):
         SystemModel(channel=np.eye(2), noise_cov=np.eye(2), n_streams=2, power=0.0)
-    for power in (float("inf"), float("nan")):
+    for power in (float("inf"), float("nan"), True):
         with pytest.raises(ValueError, match="power budget"):
             SystemModel(channel=np.eye(2), noise_cov=np.eye(2), n_streams=2, power=power)
+    # n_streams follows the integer rule: no truncation of 2.7, no bool as 1
+    for streams in (2.7, True, "2"):
+        with pytest.raises(ValueError, match="n_streams"):
+            SystemModel(channel=np.eye(2), noise_cov=np.eye(2), n_streams=streams, power=1.0)
+    for streams in (2.0, np.int64(2)):
+        m = SystemModel(channel=np.eye(2), noise_cov=np.eye(2), n_streams=streams, power=1.0)
+        assert m.n_streams == 2 and type(m.n_streams) is int
 
 
 def test_transmit_power():

@@ -7,7 +7,6 @@ from matfield import (
     ShapeError,
     design_relay_capacity,
     design_relay_sum_mse,
-    first_hop_gram,
     forwarding_to_precoder,
     precoder_to_forwarding,
     relay_capacity,
@@ -246,11 +245,11 @@ def test_model_validation():
             noise2_cov=np.eye(2),
             power=1.0,
         )
-    for power in (0.0, float("inf"), float("nan")):
+    for power in (0.0, float("inf"), float("nan"), True):
         with pytest.raises(ValueError, match="relay power budget"):
             scalar_chain(power=power)
 
 
 def test_first_hop_gram_value():
     m = scalar_chain(h1=2.0, rs=1.5, r1=0.5)
-    assert abs(first_hop_gram(m)[0, 0] - 6.5) < 1e-12
+    assert abs(m.c1[0, 0] - 6.5) < 1e-12

@@ -10,10 +10,7 @@ from matfield import (
     SystemModel,
     WeightingOperator,
     design_det_min,
-    hermitian_sqrt,
     hermitize,
-    inv_sqrt_pd,
-    is_psd,
     loewner_leq,
     logdet_pd,
     ordered_evd,
@@ -105,7 +102,7 @@ def test_tie_break_orders_repeated_values_by_first_entry():
         # kron(I, B) repeats each singular value, kron(I, A) each eigenvalue
         out = ordered_svd(np.kron(np.eye(n), helpers.crandn(gen, 2, 2)))
         ties += _tied_keys_in_order(out.s, out.u)
-        evd = ordered_evd(np.kron(np.eye(n), helpers.random_pd(gen, 2)), "increasing")
+        evd = ordered_evd(np.kron(np.eye(n), helpers.random_pd(gen, 2)))
         ties += _tied_keys_in_order(evd.values, evd.vectors)
     evd = ordered_evd(np.diag([1.0, 3.0, 1.0, 3.0, 2.0]))
     ties += _tied_keys_in_order(evd.values, evd.vectors)
@@ -121,7 +118,7 @@ def test_tie_break_orders_repeated_values_by_first_entry():
         dtype=np.complex128,
     )
     values = np.array([2.0, 2.0, 2.0, 2.0, 2.0])
-    order = spectral._tie_order(values, cols, descending=True)
+    order = spectral._tie_order(values, cols)
     assert order.tolist() == [1, 4, 0, 3, 2]
     assert _tied_keys_in_order(values[order], cols[:, order]) == 4
 
@@ -132,13 +129,8 @@ def test_ordered_svd_rejects_nonfinite():
 
 
 def test_ordered_evd_identity():
-    out = ordered_evd(np.eye(2), "decreasing")
+    out = ordered_evd(np.eye(2))
     assert np.allclose(out.values, [1.0, 1.0])
-
-
-def test_ordered_evd_increasing():
-    out = ordered_evd(np.diag([2.0, 5.0]), "increasing")
-    assert np.allclose(out.values, [2.0, 5.0])
 
 
 def test_ordered_evd_trace_identity():
@@ -154,39 +146,16 @@ def test_ordered_evd_rejects_non_hermitian():
         ordered_evd(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_hermitian_sqrt_identity():
-    assert np.allclose(hermitian_sqrt(np.eye(3)), np.eye(3))
-
-
-def test_hermitian_sqrt_diagonal():
-    assert np.allclose(hermitian_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
-
-
-def test_hermitian_sqrt_multiplies_back():
-    a = helpers.random_psd(helpers.rng(8), 4)
-    s = hermitian_sqrt(a)
-    assert helpers.rel_err(s @ s, a) < 1e-9
-    assert is_psd(s)
-
-
-def test_hermitian_sqrt_clips_roundoff():
-    # eigenvalue at -1e-13 * scale is accepted and clipped
-    a = np.diag([1.0, -1e-13])
-    s = hermitian_sqrt(a)
-    assert np.allclose(s @ s, np.diag([1.0, 0.0]), atol=1e-12)
-
-
-def test_hermitian_sqrt_rejects_indefinite():
-    with pytest.raises(NotPSD):
-        hermitian_sqrt(np.diag([1.0, -0.5]))
-
-
-def test_inv_sqrt_pd_roundtrip():
-    a = helpers.random_pd(helpers.rng(9), 3)
-    r = inv_sqrt_pd(a)
-    assert helpers.rel_err(r @ a @ r, np.eye(3)) < 1e-9
-    with pytest.raises(NotPD):
-        inv_sqrt_pd(np.diag([1.0, 0.0]))
+@pytest.mark.parametrize("last, is_psd", [(-1e-13, True), (-1e-9, False), (-0.5, False)])
+def test_psd_rule_floor(last, is_psd):
+    # eigenvalues down to -PSD_RTOL * max|w| count as rounding noise
+    a = np.diag([1.0, last])
+    assert spectral.eigs_are_psd(np.linalg.eigvalsh(a)) is is_psd
+    if is_psd:
+        spectral.as_covariance(a, 2, "Pi", definite=False)
+    else:
+        with pytest.raises(NotPSD, match="Pi"):
+            spectral.as_covariance(a, 2, "Pi", definite=False)
 
 
 def _relay_with(**cov):
@@ -207,7 +176,6 @@ PD_ENTRY_POINTS = {
         WeightingOperator(weights=(np.eye(2),), offset=a),
     ),
     "pd_roots": pd_roots,
-    "inv_sqrt_pd": inv_sqrt_pd,
     "logdet_pd": logdet_pd,
 }
 
@@ -228,7 +196,6 @@ def test_pd_roots_are_inverse_square_roots():
     root, inv_root = pd_roots(a)
     assert helpers.rel_err(root @ root, a) < 1e-12
     assert helpers.rel_err(root @ inv_root, np.eye(3)) < 1e-12
-    assert np.array_equal(inv_root, inv_sqrt_pd(a))
     with pytest.raises(NotPD, match="R_x"):
         pd_roots(np.diag([1.0, 0.0]), "R_x")
 
