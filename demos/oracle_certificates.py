@@ -1,8 +1,8 @@
 """How the optimality certificates are produced.
 
 Each design claim is checked against a two-stage oracle: a budget of random
-feasible points scaled to the power boundary, then multi-start projected
-gradient descent from the most promising candidates.  The gap
+feasible points scaled to the power boundary, then multi-start quasi-Newton
+(L-BFGS) refinement from the most promising candidates.  The gap
 (oracle - structured) should never be meaningfully negative.
 """
 

@@ -85,7 +85,6 @@ from .spectral import (
 from .weighting import (
     WeightingOperator,
     from_classical_weights,
-    monotonicity_check,
     weighted_mse_of_precoder,
 )
 

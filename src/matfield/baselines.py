@@ -4,8 +4,8 @@ A SearchProblem wraps one of the four objectives (weighted trace, weighted
 log-det, relay sum-MSE, relay log-det) as batched callables over stacks of
 candidate matrices, together with the quadratic power form of the variable.
 `random_search_oracle` attacks a problem with boundary-scaled random
-sampling plus multi-start projected-gradient refinement and returns the
-best objective it finds; the structured designs are certified by never
+sampling plus multi-start quasi-Newton refinement and returns the best
+objective it finds; the structured designs are certified by never
 losing to it.
 
 Objectives and powers are the model layer's own stack kernels, so the oracle
@@ -18,27 +18,38 @@ log-det, ``(T, Z)`` for the relay sum-MSE and ``(Z, G, Psi)`` for the relay
 log-det (see `relay`).  A row mask selects the state of a subset of rows.
 
 The objectives fall as power grows, so their minimizers sit on the power
-sphere p(X) = P of the power form p(X) = Re Tr(X M X^H), and the budget
-rescale is a retraction onto it.  Projected-gradient refinement is therefore
-Riemannian gradient descent on that sphere, in the power form's own metric
-<A, B>_M = Re Tr(A M B^H): it steps along the tangent direction
-d = g M^-1 - (Re<g, X> / p(X)) X, whose slope -2 Re<g, d> is never positive
-by Cauchy-Schwarz in the M inner product.  (A step along -g, rescaled
-radially, can climb when M is not a multiple of I.)  M = I for the two
-point-to-point problems and M = C1 for the two relay problems.  Step lengths
-are Barzilai-Borwein ones (Barzilai and Borwein 1988) in the safeguarded
-form of Wen and Yin (2013).
+sphere p(X) = P of the power form p(X) = Re Tr(X M X^H), with M = I for the
+two point-to-point problems and M = C1 for the two relay problems.  The
+refinement therefore works in the scale-free variable Y, with
+X = sqrt(P / p(Y)) Y: every Y != 0 maps onto the sphere, and f(X(Y)) is an
+unconstrained function of Y that is constant along Y.  Its gradient is
 
-Projected-gradient refinement scores only its live starts.  A start freezes
-for good once its value has settled: every `_SETTLE_EVERY` iterations the
-live values are compared with the checkpoint copy taken two checks
-(2 `_SETTLE_EVERY` iterations) before, and a start whose value fell by at
-most `_SETTLE_TOL` max(1, |f|) since then freezes.  The window spans two
-checks because in ill-conditioned problems a start still descending can
-reject ten candidates in a row, halving its step each time, before its next
-accepted move.  A start whose candidates are all rejected keeps its value,
-so it freezes within three checks of its last accepted move.  Freezing
-only stops work; a frozen start keeps its best point and value.
+    sqrt(P / p(Y)) (g - (Re<g, Y> / p(Y)) Y M)
+
+for the gradient g of f at X(Y).  It needs no M^-1 and no tangent
+projection, and it has no component along Y.  The method is L-BFGS (Liu and
+Nocedal 1989; Nocedal and Wright, Numerical Optimization, ch. 7) on the
+real vector of Y, batched over the starts: each start keeps its newest
+min(2 rows cols, `_MEMORY`) pairs and takes its direction from the compact
+form of Byrd, Nocedal and Schnabel (1994).  An iteration scores one
+candidate per start; a candidate that fails the Armijo condition halves
+that start's step for the next iteration, so there is no inner line search.
+First-order descent (Barzilai-Borwein steps along the projected gradient)
+stalled 5e-8 to 2e-5 (relative) short of the design where the curvature
+spans many decades, such as more streams than transmit antennas at
+P = 1e6; L-BFGS reaches it to rounding there.  The refinement keeps the
+name `projected_gradient_descent`, by which callers look it up.
+
+The refinement scores only its live starts.  A start freezes for good once
+its value has settled: every `_SETTLE_EVERY` iterations the live values are
+compared with the checkpoint copy taken two checks (2 `_SETTLE_EVERY`
+iterations) before, and a start whose value fell by at most `_SETTLE_TOL`
+max(1, |f|) since then freezes.  The window spans two checks because a
+start still descending can reject several candidates in a row, halving its
+step each time, before its next accepted move.  A start whose candidates
+are all rejected keeps its value, so it freezes within three checks of its
+last accepted move.  Freezing only stops work; a frozen start keeps its
+best point and value.
 """
 
 from __future__ import annotations
@@ -59,8 +70,12 @@ _POWER_FLOOR = 1e-300
 # value rule of projected_gradient_descent: iterations between checkpoints
 # (a start is judged over the last two) and the relative fall below which it
 # counts as settled
-_SETTLE_EVERY = 10
+_SETTLE_EVERY = 3
 _SETTLE_TOL = 1e-14
+# L-BFGS: the most (s, y) pairs a start keeps, and the Armijo fraction of the
+# predicted decrease an accepted candidate must reach
+_MEMORY = 16
+_ARMIJO = 1e-4
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,8 +85,8 @@ class SearchProblem:
     ``objective(x, with_state=False)`` returns the values, or ``(values,
     state)`` with the per-row intermediates; ``gradient(x, state=None)``
     reuses a state for the same rows of ``x`` when one is given.
-    ``inverse_gram`` is M^-1 for the power form Re Tr(X M X^H), or None
-    when M = I.
+    ``gram`` is M of the power form p(X) = Re Tr(X M X^H), or None when
+    M = I.
     """
 
     shape: tuple
@@ -79,7 +94,7 @@ class SearchProblem:
     objective: Callable
     power_of: Callable
     gradient: Callable
-    inverse_gram: np.ndarray | None = None
+    gram: np.ndarray | None = None
 
 
 def _as_stack(x: np.ndarray, shape) -> np.ndarray:
@@ -91,7 +106,7 @@ def _as_stack(x: np.ndarray, shape) -> np.ndarray:
     return arr
 
 
-def _search_problem(shape, power, power_of, score, grad, inverse_gram=None) -> SearchProblem:
+def _search_problem(shape, power, power_of, score, grad, gram=None) -> SearchProblem:
     """The problem of score(stack) -> (values, state) and grad(*state) -> gradient stack."""
 
     def objective(x, with_state=False):
@@ -109,7 +124,7 @@ def _search_problem(shape, power, power_of, score, grad, inverse_gram=None) -> S
         objective=objective,
         power_of=lambda x: power_of(_as_stack(x, shape)),
         gradient=gradient,
-        inverse_gram=inverse_gram,
+        gram=gram,
     )
 
 
@@ -162,10 +177,8 @@ def _relay_gradient(model: RelayModel, zm: np.ndarray, g: np.ndarray):
 
 def _relay_problem(model: RelayModel, score, grad) -> SearchProblem:
     shape = (model.n_relay_tx, model.n_relay_rx)
-    inv_root = model.c1_roots[1]
     return _search_problem(
-        shape, model.power, lambda p: forwarding_power(model, p), score, grad,
-        inverse_gram=inv_root @ inv_root,
+        shape, model.power, lambda p: forwarding_power(model, p), score, grad, gram=model.c1
     )
 
 
@@ -207,70 +220,164 @@ def _project_to_budget(problem: SearchProblem, x: np.ndarray, boundary: bool = F
     return x * (scale if boundary else np.minimum(1.0, scale))[:, None, None]
 
 
-def _tangent_direction(problem: SearchProblem, x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """d = g M^-1 - (Re<g, X> / p(X)) X: the M-metric gradient, less its radial part."""
-    gm = g if problem.inverse_gram is None else _right(g, problem.inverse_gram)
-    radial = _inner(g, x) / np.maximum(problem.power_of(x), _POWER_FLOOR)
-    return gm - radial[:, None, None] * x
+def _flat(a: np.ndarray) -> np.ndarray:
+    """Each member of a contiguous complex stack as one real vector (a view)."""
+    return a.view(np.float64).reshape(a.shape[0], -1)
+
+
+def _search_gradient(problem: SearchProblem, y: np.ndarray, power: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient in Y of f(sqrt(P / p(Y)) Y), from the gradient g of f there and p = p(Y)."""
+    ym = y if problem.gram is None else _right(y, problem.gram)
+    radial = _inner(g, y) / power
+    return np.sqrt(problem.power / power)[:, None, None] * (g - radial[:, None, None] * ym)
+
+
+class _Memory:
+    """The L-BFGS pairs of a stack of starts, the newest m of each, with R^-1.
+
+    ``pairs[k]`` holds start k's steps s in rows 0 .. m-1 and its gradient
+    changes y in rows m .. 2m-1, filled round-robin: ``slot[k]`` is the next
+    slot to write, which holds the oldest pair once all m are taken.  R is
+    the upper triangle of S Y^T in the pairs' age order and D its diagonal;
+    ``r_inv`` keeps R^-1 and ``yy`` keeps Y Y^T, both in slot order.  An empty
+    slot is a zero pair with a unit diagonal in R^-1, which the direction
+    ignores.
+    """
+
+    def __init__(self, pairs, r_inv, d, yy, slot):
+        self.pairs, self.r_inv, self.d, self.yy, self.slot = pairs, r_inv, d, yy, slot
+
+    @classmethod
+    def empty(cls, count: int, m: int, size: int) -> _Memory:
+        return cls(
+            np.zeros((count, 2 * m, size)),
+            np.tile(np.eye(m), (count, 1, 1)),
+            np.zeros((count, m)),
+            np.zeros((count, m, m)),
+            np.zeros(count, dtype=np.intp),
+        )
+
+    def take(self, rows) -> _Memory:
+        return _Memory(self.pairs[rows], self.r_inv[rows], self.d[rows], self.yy[rows], self.slot[rows])
+
+    def push(self, rows: np.ndarray, s: np.ndarray, y: np.ndarray, sy: np.ndarray) -> None:
+        """Write the pair (s, y) over the oldest pair of each of `rows`.
+
+        R^-1 is updated by blocks: the oldest pair leads R, so dropping its
+        row and column leaves the inverse of the rest, and the new pair's
+        column of R, (S y, s^T y), adds the column (-R^-1 S y, 1) / s^T y.
+        """
+        m = self.d.shape[1]
+        j, at = self.slot[rows], np.arange(rows.size)
+        self.pairs[rows, j] = s
+        self.pairs[rows, m + j] = y
+        self.d[rows, j] = sy
+        sy_yy = np.matvec(self.pairs[rows], y)
+        self.yy[rows, j] = sy_yy[:, m:]
+        self.yy[rows, :, j] = sy_yy[:, m:]
+        r = self.r_inv[rows]
+        r[at, j] = 0.0
+        r[at, :, j] = 0.0
+        col = np.matvec(r, sy_yy[:, :m]) / -sy[:, None]
+        col[at, j] = 1.0 / sy
+        r[at, :, j] = col
+        self.r_inv[rows] = r
+        self.slot[rows] = (j + 1) % m
+
+    def direction(self, g: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+        """-H g for each row's L-BFGS inverse Hessian with H0 = gamma I.
+
+        The compact form of Byrd, Nocedal and Schnabel (1994):
+        H g = gamma g + S^T R^-T ((D + gamma Y Y^T) w - gamma Y g)
+        - gamma Y^T w for w = R^-1 S g.
+        """
+        m = self.d.shape[1]
+        sg_yg = np.matvec(self.pairs, g)
+        w = np.matvec(self.r_inv, sg_yg[:, :m])
+        u = np.vecmat(self.d * w + gamma[:, None] * (np.matvec(self.yy, w) - sg_yg[:, m:]), self.r_inv)
+        return np.vecmat(np.concatenate([-u, gamma[:, None] * w], axis=1), self.pairs) - gamma[:, None] * g
 
 
 def projected_gradient_descent(
     problem: SearchProblem, starts: np.ndarray, max_iter: int = 500
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Refine a stack of feasible starts by Riemannian descent on the power sphere.
+    """Refine a stack of feasible starts by batched L-BFGS in the scale-free variable.
 
-    Per start: a candidate X - eta d along the tangent direction d (see the
-    module docstring) is rescaled into the budget and accepted if and only
-    if it strictly lowers the objective and moves (<s, s> > 0 for the move
-    s; a zero move can read lower only through batch rounding).  After an
-    accepted move, with y the change in d, the next step is the
-    Barzilai-Borwein length <s, s> / Re<s, y>, or double the step when
-    Re<s, y> <= 0, capped at 1e8 eta0 (a tiny Re<s, y> overflows the length
-    to inf); a rejected candidate halves the step.  A start freezes at a
-    checkpoint (every `_SETTLE_EVERY` iterations) once its value fell by at
-    most `_SETTLE_TOL` max(1, |f|) since the checkpoint before the last one,
-    and `max_iter` caps the iterations.  Each iteration scores only the live
-    (unfrozen) starts, and the gradient at an accepted candidate reuses the
-    state its objective evaluation built.  Returns (values, points).
+    Each start is a point Y with X = sqrt(P / p(Y)) Y (see the module
+    docstring); a start inside the budget is scored where it is, and its
+    first accepted candidate lies on the boundary.  Per iteration, each live
+    start scores one candidate Y + t d along its L-BFGS direction d, accepted
+    if and only if it satisfies the Armijo condition f <= f(Y) + `_ARMIJO`
+    t f'(Y; d), with f'(Y; d) = 2 Re<G, d> for the gradient G in Y, strictly
+    lowers the objective and moves (<s, s> > 0 for the move s; a zero move
+    can read lower only through batch rounding).  A rejected candidate
+    halves t.  An accepted one resets t to 1, stores its pair (s, y), y the
+    change in G, when the curvature <s, y> is positive, and takes the
+    direction of its updated memory: the newest min(2 rows cols, `_MEMORY`)
+    pairs with H0 = (<s, y> / <y, y>) I for the newest pair.  The first
+    direction is -G, scaled to move a quarter of the radius.  A
+    start freezes at a checkpoint (every `_SETTLE_EVERY` iterations) once its
+    value fell by at most `_SETTLE_TOL` max(1, |f|) since the checkpoint
+    before the last one, and `max_iter` caps the iterations.  Each iteration
+    scores only the live (unfrozen) starts, and the gradient at an accepted
+    candidate reuses the state its objective evaluation built.  Returns
+    (values, points).
     """
     x = _project_to_budget(problem, np.array(starts, dtype=np.complex128))
+    count, rows, cols = x.shape
     f, state = problem.objective(x, with_state=True)
-    g = problem.gradient(x, state)
-    d = _tangent_direction(problem, x, g)
-    gnorm = np.sqrt(np.sum(np.abs(g) ** 2, axis=(1, 2)))
-    xnorm = np.sqrt(np.sum(np.abs(x) ** 2, axis=(1, 2)))
-    eta = 0.25 * np.maximum(xnorm, np.sqrt(problem.power)) / np.maximum(gnorm, 1e-12)
-    eta_hi = 1e8 * eta
-    live = np.arange(x.shape[0])
+    values, points = f.copy(), x.copy()
+    power = np.maximum(problem.power_of(x), _POWER_FLOOR)
+    grad = _flat(_search_gradient(problem, x, power, problem.gradient(x, state)))
+    y = _flat(x).copy()
+    size = y.shape[1]
+    memory = _Memory.empty(count, min(size, _MEMORY), size)
+    gnorm = np.sqrt(np.vecdot(grad, grad))
+    ynorm = np.sqrt(np.vecdot(y, y))
+    gamma = 0.25 * np.maximum(ynorm, np.sqrt(problem.power)) / np.maximum(gnorm, 1e-12)
+    d = -gamma[:, None] * grad
+    slope = 2.0 * np.vecdot(grad, d)
+    t = np.ones(count)
+    live = np.arange(count)
     # values at the last two checkpoints; no start is judged before the second
     older, newer = np.full_like(f, np.inf), f.copy()
     for it in range(1, max_iter + 1):
         if live.size == 0:
             break
-        cand = _project_to_budget(problem, x[live] - eta[live, None, None] * d[live])
-        fc, state = problem.objective(cand, with_state=True)
-        step = cand - x[live]
-        ss = _inner(step, step)
-        # a zero move reads lower only through batch rounding
-        improved = (fc < f[live]) & (ss > 0.0)
-        accepted = live[improved]
-        eta[live[~improved]] *= 0.5
-        if accepted.size:
-            moved = cand[improved]
-            x[accepted] = moved
-            f[accepted] = fc[improved]
-            g_new = problem.gradient(moved, tuple(s[improved] for s in state))
-            d_new = _tangent_direction(problem, moved, g_new)
-            sy = _inner(step[improved], d_new - d[accepted])
-            with np.errstate(over="ignore"):  # a tiny sy gives inf, capped below
-                bb = np.divide(ss[improved], sy, out=2.0 * eta[accepted], where=sy > 0.0)
-            eta[accepted] = np.minimum(bb, eta_hi[accepted])
-            d[accepted] = d_new
+        yc = y + t[:, None] * d
+        cand = yc.view(np.complex128).reshape(-1, rows, cols)
+        pc = np.maximum(problem.power_of(cand), _POWER_FLOOR)
+        xc = cand * np.sqrt(problem.power / pc)[:, None, None]
+        fc, state = problem.objective(xc, with_state=True)
+        s = yc - y
+        ok = (fc <= f + _ARMIJO * t * slope) & (fc < f) & (np.vecdot(s, s) > 0.0)
+        t[~ok] *= 0.5
+        acc = np.flatnonzero(ok)
+        if acc.size:
+            g_new = _flat(_search_gradient(
+                problem, cand[acc], pc[acc], problem.gradient(xc[acc], tuple(a[acc] for a in state))
+            ))
+            s, dg = s[acc], g_new - grad[acc]
+            sy, yy = np.vecdot(s, dg), np.vecdot(dg, dg)
+            curved = sy > 0.0
+            pair = acc[curved]
+            memory.push(pair, s[curved], dg[curved], sy[curved])
+            gamma[pair] = sy[curved] / yy[curved]
+            y[acc], x[acc], f[acc], grad[acc], t[acc] = yc[acc], xc[acc], fc[acc], g_new, 1.0
+            d[acc] = memory.take(acc).direction(g_new, gamma[acc])
+            slope[acc] = 2.0 * np.vecdot(g_new, d[acc])
         if it % _SETTLE_EVERY == 0:
-            fl = f[live]
-            live = live[older[live] - fl > _SETTLE_TOL * np.maximum(1.0, np.abs(fl))]
+            keep = older - f > _SETTLE_TOL * np.maximum(1.0, np.abs(f))
+            if not keep.all():
+                gone = ~keep
+                values[live[gone]], points[live[gone]] = f[gone], x[gone]
+                live, y, x, f, grad, d, slope, t, gamma, newer = (
+                    a[keep] for a in (live, y, x, f, grad, d, slope, t, gamma, newer)
+                )
+                memory = memory.take(keep)
             older, newer = newer, f.copy()
-    return f, x
+    values[live], points[live] = f, x
+    return values, points
 
 
 def random_search_oracle(
@@ -280,8 +387,8 @@ def random_search_oracle(
 
     budget random matrices with unit-variance complex Gaussian entries are
     rescaled to the power boundary and scored in bulk; the best `refinements`
-    of them seed the projected-gradient stage.  Returns the best feasible
-    objective value found.
+    of them seed the refinement stage (`projected_gradient_descent`).
+    Returns the best feasible objective value found.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")

@@ -14,7 +14,6 @@ Sub-stream layout: component c of trial t uses derive_seed(seed, t, c) with
 from __future__ import annotations
 
 import json
-import numbers
 import time
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
@@ -48,7 +47,7 @@ from .instances import (
     system_from_json,
     weighting_from_json,
 )
-from .mimo import is_integer, lmmse_equalizer, mse_matrix, transmit_power
+from .mimo import is_integer, is_real, lmmse_equalizer, mse_matrix, transmit_power
 from .relay import (
     design_relay_capacity,
     design_relay_sum_mse,
@@ -148,7 +147,7 @@ def build_config(data: dict, mode: Optional[str] = None, **overrides) -> Experim
     if any(d > 64 for d in dims):
         raise ConfigError("dims: entries above 64 are not supported by the harness")
     power = merged["power"]
-    if isinstance(power, bool) or not isinstance(power, numbers.Real):
+    if not is_real(power):
         raise ConfigError(f"power: expected a number, got {power!r}")
     power = float(power)
     if not 0.0 < power < np.inf:

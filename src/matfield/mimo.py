@@ -12,6 +12,7 @@ Phi(F) = (F^H K F + I)^{-1} with K = H^H R_n^{-1} H (``lmmse_error``).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,11 @@ def is_integer(value) -> bool:
     if isinstance(value, (int, np.integer)):
         return not isinstance(value, bool)
     return isinstance(value, float) and value.is_integer()
+
+
+def is_real(value) -> bool:
+    """True for a real number; False for a bool, a string or a complex number."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,7 +53,7 @@ class SystemModel:
         r = as_covariance(self.noise_cov, h.shape[0], "noise covariance R_n")
         if not is_integer(self.n_streams) or self.n_streams < 1:
             raise ValueError(f"n_streams must be an integer of at least 1, got {self.n_streams!r}")
-        if isinstance(self.power, bool) or not 0.0 < float(self.power) < np.inf:
+        if not is_real(self.power) or not 0.0 < self.power < np.inf:
             raise ValueError("power budget must be positive and finite")
         object.__setattr__(self, "channel", h)
         object.__setattr__(self, "noise_cov", r)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .design import PrecoderDesign, design_det_min, design_trace_min
 from .errors import NumericalError
-from .mimo import SystemModel
+from .mimo import SystemModel, is_real
 from .spectral import Congruence, _ct, _inner, _left, _right, as_covariance, as_matrix
 from .spectral import as_shaped, from_eigs, logdet_pd, pd_roots, symmetrize
 from .weighting import WeightingOperator
@@ -62,7 +62,7 @@ class RelayModel:
         rs = as_covariance(self.source_cov, h1.shape[1], "source covariance R_s")
         r1 = as_covariance(self.noise1_cov, h1.shape[0], "relay noise covariance R_n1")
         r2 = as_covariance(self.noise2_cov, h2.shape[0], "destination noise covariance R_n2")
-        if isinstance(self.power, bool) or not 0.0 < float(self.power) < np.inf:
+        if not is_real(self.power) or not 0.0 < self.power < np.inf:
             raise ValueError("relay power budget must be positive and finite")
         object.__setattr__(self, "channel1", h1)
         object.__setattr__(self, "channel2", h2)

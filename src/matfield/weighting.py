@@ -19,9 +19,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidWeight, PreconditionError, ShapeError
+from .errors import InvalidWeight, ShapeError
 from .mimo import SystemModel, mse_lmmse
-from .spectral import Congruence, as_covariance, as_matrix, hermitize, loewner_leq, symmetrize
+from .spectral import Congruence, as_covariance, as_matrix, hermitize, symmetrize
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,13 +119,3 @@ def weighted_mse_of_precoder(op: WeightingOperator, model: SystemModel, precoder
     """Weighted error covariance at the MMSE equalizer for a given precoder."""
     check_streams(op, model)
     return op.apply(mse_lmmse(model, precoder))
-
-
-def monotonicity_check(op: WeightingOperator, a, b, tol: float = 1e-8) -> bool:
-    """Loewner-order preservation check: A <= B implies Psi(A) <= Psi(B).
-
-    Raises PreconditionError unless A <= B holds to the same tolerance.
-    """
-    if not loewner_leq(a, b, tol):
-        raise PreconditionError("monotonicity check requires A <= B in the Loewner order")
-    return loewner_leq(op.apply(a), op.apply(b), tol)

@@ -128,75 +128,130 @@ def _inner_reference(a, b):
     return np.vecdot(a.reshape(a.shape[0], -1), b.reshape(b.shape[0], -1)).real
 
 
-def _direction_reference(problem, x):
-    """d = g M^-1 - (Re<g, X> / p(X)) X with g computed afresh from the point."""
-    g = problem.gradient(x)
-    gm = g
-    if problem.inverse_gram is not None:
-        gm = (g.reshape(-1, g.shape[-1]) @ problem.inverse_gram).reshape(g.shape)
-    radial = _inner_reference(g, x) / np.maximum(problem.power_of(x), 1e-300)
-    return gm - radial[:, None, None] * x
+def _real_reference(a):
+    return a.view(np.float64).reshape(a.shape[0], -1)
+
+
+def _search_gradient_reference(problem, y, power, g):
+    """Gradient in Y of f(sqrt(P / p(Y)) Y), given the gradient g of f there."""
+    scale = np.sqrt(problem.power / power)
+    ym = y
+    if problem.gram is not None:
+        ym = (y.reshape(-1, y.shape[-1]) @ problem.gram).reshape(y.shape)
+    radial = _inner_reference(g, y) / power
+    return _real_reference(scale[:, None, None] * (g - radial[:, None, None] * ym))
 
 
 def masked_pgd_reference(problem, starts, max_iter=500, value_rule=True):
-    """Projected-gradient refinement as first written: a boolean mask of
+    """The oracle's L-BFGS refinement as first written: a boolean mask of
     active starts, every start scored on every iteration, and each accepted
-    point's direction computed afresh from the point alone.  Steps follow
-    the tangent direction d = g M^-1 - (Re<g, X> / p(X)) X with
-    Barzilai-Borwein lengths <s, s> / Re<s, y> after an accepted move
-    (doubling when Re<s, y> <= 0), capped at 1e8 eta0, and halving on a
-    rejected one; a candidate that reads lower but does not move
-    (<s, s> = 0) is rejected.  With `value_rule`, a start goes inactive at a
-    check (iterations 20, 30, 40, ...) where its value fell by at most
-    1e-14 max(1, |f|) over the last 20 iterations; the library's live-set
-    version must return bitwise the same (values, points).  Without it, the
-    older step floor stops a start instead: it goes inactive once its step
-    is below 1e-14 eta0, and the BB length is clipped below at 4e-14 eta0.
+    point's gradient computed afresh from the point alone.
+
+    Each start is a point Y with X = sqrt(P / p(Y)) Y.  A candidate
+    Y + t d is accepted when it meets the Armijo condition
+    f <= f(Y) + 1e-4 t f'(Y; d), lowers f and moves (<s, s> > 0); a
+    rejected one halves t, an accepted one sets t = 1.  The direction is
+    -H g for the L-BFGS inverse Hessian of the newest min(2 rows cols, 16)
+    pairs with positive curvature, in the compact form of Byrd, Nocedal and
+    Schnabel (1994) with the pairs in round-robin slots and R^-1 updated by
+    blocks; the first direction is -g scaled to move a quarter of the
+    radius.  With `value_rule`, a start goes inactive at a check
+    (iterations 6, 9, 12, ...) where its value fell by at most
+    1e-14 max(1, |f|) over the last 6 iterations; the library's live-set
+    version must return bitwise the same (values, points).  Without it,
+    every start runs `max_iter` iterations.
     """
     x = _project_reference(problem, np.array(starts, dtype=np.complex128))
+    count, rows, cols = x.shape
     f = problem.objective(x)
-    g = problem.gradient(x)
-    d = _direction_reference(problem, x)
-    gnorm = np.sqrt(np.sum(np.abs(g) ** 2, axis=(1, 2)))
-    xnorm = np.sqrt(np.sum(np.abs(x) ** 2, axis=(1, 2)))
-    eta0 = 0.25 * np.maximum(xnorm, np.sqrt(problem.power)) / np.maximum(gnorm, 1e-12)
-    eta_floor = np.zeros_like(eta0) if value_rule else 1e-14 * np.maximum(eta0, 1e-12)
-    eta = eta0.copy()
-    active = np.ones(x.shape[0], dtype=bool)
+    y = _real_reference(x).copy()
+    power = np.maximum(problem.power_of(x), 1e-300)
+    grad = _search_gradient_reference(problem, x, power, problem.gradient(x))
+    size = y.shape[1]
+    mem = min(size, 16)
+    # rows 0 .. mem-1 hold the steps s, rows mem .. 2 mem-1 the gradient
+    # changes y, written round-robin from slot 0
+    pairs = np.zeros((count, 2 * mem, size))
+    r_inv = np.tile(np.eye(mem), (count, 1, 1))
+    diag, yy_mem = np.zeros((count, mem)), np.zeros((count, mem, mem))
+    slot = np.zeros(count, dtype=np.intp)
+    gnorm = np.sqrt(np.vecdot(grad, grad))
+    ynorm = np.sqrt(np.vecdot(y, y))
+    gamma = 0.25 * np.maximum(ynorm, np.sqrt(problem.power)) / np.maximum(gnorm, 1e-12)
+    d = -gamma[:, None] * grad
+    slope = 2.0 * np.vecdot(grad, d)
+    t = np.ones(count)
+    active = np.ones(count, dtype=bool)
     f_at = {0: f.copy()}
     for k in range(max_iter):
         if not np.any(active):
             break
-        cand = _project_reference(problem, x - eta[:, None, None] * d)
-        fc = problem.objective(cand)
-        s_all = cand - x
-        ss_all = _inner_reference(s_all, s_all)
-        improved = active & (fc < f) & (ss_all > 0.0)
-        rejected = active & ~improved
-        eta[rejected] *= 0.5
+        yc = y + t[:, None] * d
+        cand = yc.view(np.complex128).reshape(-1, rows, cols)
+        pc = np.maximum(problem.power_of(cand), 1e-300)
+        xc = cand * np.sqrt(problem.power / pc)[:, None, None]
+        fc = problem.objective(xc)
+        s_all = yc - y
+        armijo = fc <= f + 1e-4 * t * slope
+        improved = active & armijo & (fc < f) & (np.vecdot(s_all, s_all) > 0.0)
+        t[active & ~improved] *= 0.5
         if np.any(improved):
-            s = s_all[improved]
-            x[improved] = cand[improved]
-            f[improved] = fc[improved]
-            d_new = _direction_reference(problem, x[improved])
-            sy = _inner_reference(s, d_new - d[improved])
-            ss = ss_all[improved]
-            step = 2.0 * eta[improved]
-            bb = sy > 0.0
-            with np.errstate(over="ignore"):
-                step[bb] = ss[bb] / sy[bb]
-            lo = 4.0 * eta_floor[improved]
-            hi = 1e8 * eta0[improved]
-            eta[improved] = np.minimum(np.maximum(step, lo), hi)
-            d[improved] = d_new
-        if value_rule:
-            if (k + 1) % 10 == 0:
-                if k + 1 >= 20:
-                    active &= f_at[k + 1 - 20] - f > 1e-14 * np.maximum(1.0, np.abs(f))
-                f_at[k + 1] = f.copy()
-        else:
-            active &= eta > eta_floor
+            g_new = _search_gradient_reference(
+                problem, cand[improved], pc[improved], problem.gradient(xc[improved])
+            )
+            s, dg = s_all[improved], g_new - grad[improved]
+            sy, yy = np.vecdot(s, dg), np.vecdot(dg, dg)
+            c = sy > 0.0
+            pair = np.flatnonzero(improved)[c]
+            s, dg, sy, yy = s[c], dg[c], sy[c], yy[c]
+            # the new pair overwrites each pushing start's oldest one
+            j, at = slot[pair], np.arange(pair.size)
+            pairs[pair, j] = s
+            pairs[pair, mem + j] = dg
+            diag[pair, j] = sy
+            sy_yy = np.matvec(pairs[pair], dg)
+            yy_mem[pair, j] = sy_yy[:, mem:]
+            yy_mem[pair, :, j] = sy_yy[:, mem:]
+            r = r_inv[pair]
+            r[at, j] = 0.0
+            r[at, :, j] = 0.0
+            col = np.matvec(r, sy_yy[:, :mem]) / -sy[:, None]
+            col[at, j] = 1.0 / sy
+            r[at, :, j] = col
+            r_inv[pair] = r
+            slot[pair] = (j + 1) % mem
+            gamma[pair] = sy / yy
+            y[improved], x[improved], f[improved], grad[improved], t[improved] = (
+                yc[improved], xc[improved], fc[improved], g_new, 1.0
+            )
+            # d = -H g in the compact form
+            pm, ri, ga = pairs[improved], r_inv[improved], gamma[improved][:, None]
+            sg_yg = np.matvec(pm, g_new)
+            w = np.matvec(ri, sg_yg[:, :mem])
+            u = np.vecmat(diag[improved] * w + ga * (np.matvec(yy_mem[improved], w) - sg_yg[:, mem:]), ri)
+            d[improved] = np.vecmat(np.concatenate([-u, ga * w], axis=1), pm) - ga * g_new
+            slope[improved] = 2.0 * np.vecdot(g_new, d[improved])
+        if value_rule and (k + 1) % 3 == 0:
+            if k + 1 >= 6:
+                active &= f_at[k + 1 - 6] - f > 1e-14 * np.maximum(1.0, np.abs(f))
+            f_at[k + 1] = f.copy()
     return f, x
+
+
+def lbfgs_two_loop_reference(g, gamma, pairs):
+    """-H g by the two-loop recursion (Nocedal and Wright, Algorithm 7.4),
+    for one real gradient g, H0 = gamma I and the (s, y) pairs oldest first."""
+    q = np.array(g, dtype=float)
+    alphas = []
+    for s, y in reversed(pairs):
+        alpha = (s @ q) / (s @ y)
+        q = q - alpha * y
+        alphas.append(alpha)
+    r = gamma * q
+    for (s, y), alpha in zip(pairs, reversed(alphas)):
+        beta = (y @ r) / (s @ y)
+        r = r + (alpha - beta) * s
+    return -r
 
 
 def waterfill_decimal_reference(a, b, power, kind, digits=60):

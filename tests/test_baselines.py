@@ -209,7 +209,9 @@ def test_a_zero_move_is_rejected():
     gen = helpers.rng(22)
     problem = trace_problem(helpers.random_system(gen, 2, 2, 2, 4.0), helpers.random_operator(gen, 2, 2))
     # inside the budget the rescale leaves a point as it is, so with a zero
-    # gradient every candidate is its own start
+    # gradient every candidate is its own start; the drift below meets the
+    # Armijo condition (its slope is 0) and lowers the value, so only the
+    # zero-move test rejects it
     starts = 0.5 * _feasible_starts(problem, gen, 4)
     calls = []
 
@@ -232,7 +234,8 @@ def test_a_zero_move_is_rejected():
 
 def _oracle_with_and_without_value_rule(monkeypatch, problems):
     """Oracle values of (problem, seed) pairs with the live-set descent, then
-    with the masked reference and no value rule (budget 300, 20 refinements)."""
+    with the masked reference and no value rule, every start running
+    `max_iter` iterations (budget 300, 20 refinements)."""
 
     def values():
         return np.array([random_search_oracle(p, budget=300, seed=s, refinements=20) for p, s in problems])
@@ -264,9 +267,10 @@ def test_value_rule_keeps_the_oracle_as_strong(monkeypatch):
 
 
 def test_value_rule_waits_out_a_rejection_streak(monkeypatch):
-    # with more streams than transmit antennas at high power, starts still
-    # descending reject ten or more candidates in a row; judged over one
-    # check instead of two, the rule froze them and lost up to 2e-7 here
+    # with more streams than transmit antennas at high power, a start still
+    # descending can reject several candidates in a row before its next
+    # accepted move; the rule judges a start over two checks, so such a
+    # streak does not freeze it
     dims = (2, 3, 3, 2)
     problems = [
         (trace_problem(generate_system(seed, dims, 1e6), generate_weighting(seed + 1000, dims)), seed)
@@ -276,34 +280,54 @@ def test_value_rule_waits_out_a_rejection_streak(monkeypatch):
     assert np.all(got - want <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
-def test_tangent_direction_descends_in_the_power_metric():
+def test_search_gradient_matches_central_differences():
     gen = helpers.rng(19)
-    # every non-square problem and the square relay ones (the scalar objectives
-    # are flat along the tangent phase, so d = 0 there)
-    problems = all_problems(20, cases=("non-square",)) + all_problems(20, cases=("square",))[2:]
-    assert sum(p.inverse_gram is not None for p in problems) == 4
+    # the square and non-square cases hold all four families; relay problems
+    # carry the power form's Gram M = C1
+    problems = all_problems(20, cases=("square", "non-square"))
+    assert sum(p.gram is not None for p in problems) == 4
     for problem in problems:
-        x = _feasible_starts(problem, gen, 16)
-        g = problem.gradient(x)
-        cols = problem.shape[1]
-        inverse_gram = np.eye(cols) if problem.inverse_gram is None else problem.inverse_gram
-        if problem.inverse_gram is not None:
-            # a power form that is not a multiple of the Frobenius one
-            assert helpers.rel_err(inverse_gram, np.trace(inverse_gram).real / cols * np.eye(cols)) > 1e-3
-        # inverse_gram inverts the Gram of problem.power_of
-        xm = x @ np.linalg.inv(inverse_gram)
-        np.testing.assert_allclose(problem.power_of(x), np.sum(np.conj(x) * xm, axis=(1, 2)).real, rtol=1e-10)
-        radial = np.sum(np.conj(g) * x, axis=(1, 2)).real / problem.power_of(x)
-        d = g @ inverse_gram - radial[:, None, None] * x
-        # d is tangent to the power sphere, Re Tr(d M X^H) = 0, and slopes down
-        tangency = np.sum(np.conj(d) * xm, axis=(1, 2)).real
-        assert np.all(np.abs(tangency) <= 1e-10 * np.linalg.norm(d, axis=(1, 2)) * np.linalg.norm(xm, axis=(1, 2)))
-        assert np.all(np.sum(np.conj(g) * -d, axis=(1, 2)).real <= 0.0)
-        # so a short step along -d, rescaled to the budget, lowers the objective
-        t = 1e-6 * np.linalg.norm(x, axis=(1, 2)) / np.linalg.norm(d, axis=(1, 2))
-        moved = x - t[:, None, None] * d
-        moved *= np.sqrt(problem.power / problem.power_of(moved))[:, None, None]
-        assert np.all(problem.objective(moved) < problem.objective(x))
+        gram = np.eye(problem.shape[1]) if problem.gram is None else problem.gram
+
+        def on_sphere(v):
+            return v * np.sqrt(problem.power / problem.power_of(v))[:, None, None]
+
+        # off the power sphere: f(sqrt(P / p(Y)) Y) does not depend on the scale of Y
+        y = 0.7 * _feasible_starts(problem, gen, 3)
+        power = problem.power_of(y)
+        np.testing.assert_allclose(power, np.sum(np.conj(y) * (y @ gram), axis=(1, 2)).real, rtol=1e-12)
+        got = baselines._search_gradient(problem, y, power, problem.gradient(on_sphere(y)))
+        scale_free = dataclasses.replace(problem, objective=lambda v: problem.objective(on_sphere(v)))
+        for yi, gi in zip(y, got):
+            assert helpers.rel_err(gi, finite_diff_gradient(scale_free, yi)) < 1e-5
+        # the objective is flat along Y, so the gradient has no radial part
+        radial = np.sum(np.conj(got) * y, axis=(1, 2)).real
+        assert np.all(np.abs(radial) <= 1e-12 * np.linalg.norm(got, axis=(1, 2)) * np.linalg.norm(y, axis=(1, 2)))
+
+
+def test_compact_direction_matches_two_loop_recursion():
+    # more pairs than the memory holds, so new pairs overwrite the oldest
+    gen = helpers.rng(23)
+    size, count = 6, 3
+    mem = min(size, baselines._MEMORY)
+    memory = baselines._Memory.empty(count, mem, size)
+    a = gen.standard_normal((count, size, size))
+    hessians = a @ a.transpose(0, 2, 1) + np.eye(size)
+    pairs = [[] for _ in range(count)]
+    for n_pairs in range(1, 2 * mem + 2):
+        # one start skips every third pair, so the starts' slots drift apart
+        rows = np.array([k for k in range(count) if k != 1 or n_pairs % 3])
+        s = gen.standard_normal((rows.size, size))
+        y = np.einsum("kij,kj->ki", hessians[rows], s)
+        memory.push(rows, s, y, np.vecdot(s, y))
+        for i, k in enumerate(rows):
+            pairs[k] = (pairs[k] + [(s[i], y[i])])[-mem:]
+        g = gen.standard_normal((count, size))
+        gamma = gen.uniform(0.5, 2.0, count)
+        got = memory.direction(g, gamma)
+        for k in range(count):
+            want = helpers.lbfgs_two_loop_reference(g[k], gamma[k], pairs[k])
+            assert helpers.rel_err(got[k], want) < 1e-10, n_pairs
 
 
 def test_gradient_from_objective_state_is_exact():

@@ -7,7 +7,7 @@ smaller side.  It builds explicit instances from the seeded ones: the noise
 covariances (R_n, or R_n1 and R_n2) scaled by s, and each channel (H, or H1
 and H2) truncated to its drawn rank by SVD.  design-trace and design-det run
 on the point instance, relay-mse and relay-capacity on the relay instance,
-all through run() at one trial, budget 10 and no PGD refinement; every
+all through run() at one trial, budget 10 and no oracle refinement; every
 invariant flag must hold at the default tolerances.
 
 The budget range stops at 1e6, and s is raised where needed to keep P / s

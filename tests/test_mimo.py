@@ -182,9 +182,13 @@ def test_model_validates_scalars():
         SystemModel(channel=np.eye(2), noise_cov=np.eye(2), n_streams=0, power=1.0)
     with pytest.raises(Exception):
         SystemModel(channel=np.eye(2), noise_cov=np.eye(2), n_streams=2, power=0.0)
-    for power in (float("inf"), float("nan"), True):
+    # a real number that is not a bool: no numeric string or complex budget
+    for power in (float("inf"), float("nan"), True, "4", "inf", 4.0 + 0j):
         with pytest.raises(ValueError, match="power budget"):
             SystemModel(channel=np.eye(2), noise_cov=np.eye(2), n_streams=2, power=power)
+    for power in (4, np.float32(4.0), np.int64(4)):
+        m = SystemModel(channel=np.eye(2), noise_cov=np.eye(2), n_streams=2, power=power)
+        assert m.power == 4.0 and type(m.power) is float
     # n_streams follows the integer rule: no truncation of 2.7, no bool as 1
     for streams in (2.7, True, "2"):
         with pytest.raises(ValueError, match="n_streams"):

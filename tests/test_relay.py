@@ -245,9 +245,10 @@ def test_model_validation():
             noise2_cov=np.eye(2),
             power=1.0,
         )
-    for power in (0.0, float("inf"), float("nan"), True):
+    for power in (0.0, float("inf"), float("nan"), True, "4", 4.0 + 0j):
         with pytest.raises(ValueError, match="relay power budget"):
             scalar_chain(power=power)
+    assert scalar_chain(power=np.int64(4)).power == 4.0
 
 
 def test_first_hop_gram_value():

@@ -4,12 +4,11 @@ import pytest
 from matfield import (
     InvalidWeight,
     NotPSD,
-    PreconditionError,
     ShapeError,
     WeightingOperator,
     from_classical_weights,
     mse_lmmse,
-    monotonicity_check,
+    loewner_leq,
     weighted_mse_of_precoder,
 )
 
@@ -100,12 +99,18 @@ def test_classical_embedding_rejects_negative():
         from_classical_weights([1.0, -1.0])
 
 
+def assert_monotone(op, a, b):
+    """A <= B in the Loewner order, and so Psi(A) <= Psi(B)."""
+    assert loewner_leq(a, b)
+    assert loewner_leq(op.apply(a), op.apply(b))
+
+
 def test_monotonicity_trivial_pairs():
     gen = helpers.rng(10)
     op = helpers.random_operator(gen, n_streams=2, m=2, k=2)
-    assert monotonicity_check(op, np.zeros((2, 2)), np.eye(2))
+    assert_monotone(op, np.zeros((2, 2)), np.eye(2))
     a = helpers.random_psd(gen, 2)
-    assert monotonicity_check(op, a, a)
+    assert_monotone(op, a, a)
 
 
 def test_monotonicity_random_sweep():
@@ -114,13 +119,16 @@ def test_monotonicity_random_sweep():
         op = helpers.random_operator(gen, n_streams=2, m=2, k=1, pd_offset=False)
         a = helpers.random_psd(gen, 2)
         b = a + helpers.random_psd(gen, 2)
-        assert monotonicity_check(op, a, b)
+        assert_monotone(op, a, b)
 
 
 def test_monotonicity_rejects_unordered_inputs():
+    # I >= 0 but not I <= 0, and the operator keeps the order: Psi(I) - Psi(0)
+    # = sum_k W_k^H W_k is PSD and nonzero
     op = helpers.random_operator(helpers.rng(12), n_streams=2, m=2)
-    with pytest.raises(PreconditionError):
-        monotonicity_check(op, np.eye(2), np.zeros((2, 2)))
+    assert not loewner_leq(np.eye(2), np.zeros((2, 2)))
+    assert not loewner_leq(op.apply(np.eye(2)), op.apply(np.zeros((2, 2))))
+    assert_monotone(op, np.zeros((2, 2)), np.eye(2))
 
 
 def test_operator_validation():
