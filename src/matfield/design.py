@@ -21,18 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPD, NotPSD, PreconditionError, ShapeError, Unsupported
-from .mimo import SystemModel
-from .spectral import (
-    as_matrix,
-    eigs_are_pd,
-    eigs_are_psd,
-    hermitize,
-    logdet_pd,
-    ordered_evd,
-    ordered_svd,
-    pd_roots,
-    symmetrize,
-)
+from .mimo import SystemModel, trusted
+from .spectral import as_matrix, eigs_are_pd, eigs_are_psd, from_eigs, frozen, hermitize
+from .spectral import logdet_of, ordered_evd, ordered_svd, pd_root_eigh, symmetrize
 from .weighting import WeightingOperator, check_streams, weighted_mse_of_precoder
 
 # the log-det solve stops once sum x is within this many ulps of the budget
@@ -82,10 +73,9 @@ class PrecoderDesign:
 
 def whiten_channel(model: SystemModel) -> WhitenedChannel:
     """Ordered spectrum and right singular basis of R_n^{-1/2} H."""
-    svd = ordered_svd(pd_roots(model.noise_cov, "noise covariance R_n")[1] @ model.channel)
-    lam = np.zeros(model.n_tx, dtype=np.float64)
-    lam[: svd.s.size] = svd.s**2
-    return WhitenedChannel(eigenvalues=lam, basis=svd.v)
+    u, root = pd_root_eigh(model.noise_cov, "noise covariance R_n")
+    svd = ordered_svd(from_eigs(u, 1.0 / root) @ model.channel)
+    return WhitenedChannel(eigenvalues=_padded(svd.s**2, model.n_tx), basis=svd.v)
 
 
 # ---------------------------------------------------------------------------
@@ -144,13 +134,12 @@ def _check_waterfill_inputs(a, b, power: float) -> tuple[np.ndarray, np.ndarray]
         raise ShapeError("water-filling inputs must be 1-D")
     if av.size != bv.size:
         raise ShapeError(f"spectra lengths differ: {av.size} vs {bv.size}")
-    if not (np.all(np.isfinite(av)) and np.all(np.isfinite(bv))):
+    ab = np.concatenate((av, bv)).reshape(2, -1)
+    if not np.isfinite(ab).all():
         raise PreconditionError("spectra must be finite")
-    if np.any(av < 0.0) or np.any(bv < 0.0):
+    if (ab < 0.0).any():
         raise PreconditionError("spectra must be nonnegative")
-    if np.any(np.diff(av) > 1e-12 * max(1.0, float(av.max(initial=0.0)))) or np.any(
-        np.diff(bv) > 1e-12 * max(1.0, float(bv.max(initial=0.0)))
-    ):
+    if (np.diff(ab) > 1e-12 * np.maximum(1.0, ab.max(axis=1, initial=0.0, keepdims=True))).any():
         raise PreconditionError("spectra must be sorted in decreasing order")
     if not 0.0 < power < np.inf:
         raise PreconditionError("power budget must be positive and finite")
@@ -182,7 +171,7 @@ def waterfill_trace(weight_eigs, channel_eigs, power: float) -> tuple[np.ndarray
     a, b = _check_waterfill_inputs(weight_eigs, channel_eigs, power)
     prod = a * b
     active = prod > 0.0
-    if not np.any(active):
+    if not active.any():
         return np.zeros(a.size), 0.0
     b_act = b[active]
     q = np.sqrt(prod[active])
@@ -191,12 +180,12 @@ def waterfill_trace(weight_eigs, channel_eigs, power: float) -> tuple[np.ndarray
     # mode k is active together with modes 1..k-1 iff it gets x_k > 0
     ok = r * power + np.tril(pair).sum(axis=1) > 0.0
     n_on = ok.size if ok.all() else int(np.argmin(ok))
-    s = float(np.sum(r[:n_on]))
+    s = float(r[:n_on].sum())
     x = np.zeros(a.size)
-    x[np.flatnonzero(active)[:n_on]] = np.maximum(
+    x[active.nonzero()[0][:n_on]] = np.maximum(
         0.0, r[:n_on] / s * power + pair[:n_on, :n_on].sum(axis=1) / s
     )
-    return x, (s / (power + float(np.sum(1.0 / b_act[:n_on])))) ** 2
+    return x, (s / (power + float((1.0 / b_act[:n_on]).sum()))) ** 2
 
 
 def _t_minus_one(num, k, k2):
@@ -230,7 +219,7 @@ def waterfill_logdet(theta_eigs, channel_eigs, power: float) -> tuple[np.ndarray
     a, b = _check_waterfill_inputs(theta_eigs, channel_eigs, power)
     prod = a * b
     active = prod > 0.0
-    if not np.any(active):
+    if not active.any():
         return np.zeros(a.size), 0.0
     a_act = a[active]
     b_act = b[active]
@@ -239,7 +228,7 @@ def waterfill_logdet(theta_eigs, channel_eigs, power: float) -> tuple[np.ndarray
     k2 = k * k
     lam_on = (1.0 + a_act) / p_act
     ahead = np.maximum(lam_on[:, None] - lam_on, 0.0)
-    at_turn_on = np.sum(_t_minus_one(p_act * ahead, k, k2) / b_act, axis=1)
+    at_turn_on = (_t_minus_one(p_act * ahead, k, k2) / b_act).sum(axis=1)
     on = at_turn_on < power
     last = int(np.argmax(np.where(on, lam_on, -np.inf)))
     a_on, b_on, p_on, k, k2 = a_act[on], b_act[on], p_act[on], k[on], k2[on]
@@ -250,7 +239,7 @@ def waterfill_logdet(theta_eigs, channel_eigs, power: float) -> tuple[np.ndarray
         """(x, sum x - power, d sum x / dv) at lam = lam_m + v^2."""
         u = _t_minus_one(p_on * (v * v) + head, k, k2)
         x = u / b_on
-        return x, float(np.sum(x)) - power, float(2.0 * v * np.sum(a_on / (2.0 * u + k)))
+        return x, float(x.sum()) - power, float(2.0 * v * (a_on / (2.0 * u + k)).sum())
 
     lo = 0.0
     hi = power * (2.0 + a_act[last] + b_act[last] * power) / a_act[last]
@@ -274,7 +263,7 @@ def waterfill_logdet(theta_eigs, channel_eigs, power: float) -> tuple[np.ndarray
             best = (abs(gap), v, x_on)
     _, v, x_on = best
     x = np.zeros(a.size)
-    x[np.flatnonzero(active)[on]] = x_on
+    x[active.nonzero()[0][on]] = x_on
     return x, 1.0 / (lam_on[last] + v * v)
 
 
@@ -389,18 +378,19 @@ def design_det_min(
     """
     w = _weight_factor(op, model)
     pi = op.offset
-    if not eigs_are_pd(np.linalg.eigvalsh(pi)):
+    if not eigs_are_pd(op.offset_eigs):
         if not jitter_pi:
             raise NotPD(
                 "offset matrix must be strictly positive definite for the log-det design "
                 "(pass jitter_pi=True to regularize)"
             )
         eps = 1e-10 * float(np.real(np.trace(pi))) / pi.shape[0]
-        pi = symmetrize(pi + eps * np.eye(pi.shape[0]))
-        if not eigs_are_pd(np.linalg.eigvalsh(pi)):
+        pi = frozen(symmetrize(pi + eps * np.eye(pi.shape[0])))
+        eigs = np.linalg.eigvalsh(pi)
+        if not eigs_are_pd(eigs):
             raise NotPD("offset matrix is singular even after jitter")
-        op = WeightingOperator(weights=op.weights, offset=pi)
+        op = trusted(WeightingOperator, weights=op.weights, offset=pi, offset_eigs=frozen(eigs))
     evd = ordered_evd(symmetrize(w @ np.linalg.solve(op.offset, w.conj().T)))
     return _structured_design(
-        model, op, np.clip(evd.values, 0.0, None), evd.vectors, waterfill_logdet, logdet_pd
+        model, op, np.clip(evd.values, 0.0, None), evd.vectors, waterfill_logdet, logdet_of
     )

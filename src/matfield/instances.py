@@ -11,6 +11,8 @@ Draw order is fixed so seeds reproduce across implementations:
   relay   : H1 (n_streams x m), H2 (n_rx x n_tx), then B_s (m x m),
             B_1 (n_streams x n_streams), B_2 (n_rx x n_rx) for
             R_s, R_n1, R_n2, each B^H B + 0.1 I
+Each instance is one complex_normal draw of all its entries, sliced row-major
+into the matrices in this order: the same stream as one draw per matrix.
 """
 
 from __future__ import annotations
@@ -28,9 +30,18 @@ from .weighting import WeightingOperator
 _COV_RIDGE = 0.1
 
 
-def _pd_cov(stream: SplitMix64, n: int) -> np.ndarray:
-    b = stream.complex_normal(n, n)
-    return symmetrize(b.conj().T @ b + _COV_RIDGE * np.eye(n))
+def _draw(seed: int, *shapes) -> list:
+    """Matrices of the given shapes, in order, from one draw of the seed's stream."""
+    flat = SplitMix64(seed).complex_normal(1, sum(r * c for r, c in shapes))[0]
+    out, at = [], 0
+    for r, c in shapes:
+        out.append(flat[at : at + r * c].reshape(r, c))
+        at += r * c
+    return out
+
+
+def _pd_cov(b: np.ndarray) -> np.ndarray:
+    return symmetrize(b.conj().T @ b + _COV_RIDGE * np.eye(b.shape[0]))
 
 
 def check_dims(dims) -> tuple[int, int, int, int]:
@@ -47,33 +58,24 @@ def check_dims(dims) -> tuple[int, int, int, int]:
 def generate_system(seed: int, dims, power: float) -> SystemModel:
     """Deterministic point-to-point instance for (seed, dims, power)."""
     n_tx, n_rx, n_streams, _ = check_dims(dims)
-    stream = SplitMix64(seed)
-    h = stream.complex_normal(n_rx, n_tx)
-    r_n = _pd_cov(stream, n_rx)
-    return SystemModel(channel=h, noise_cov=r_n, n_streams=n_streams, power=power)
+    h, b = _draw(seed, (n_rx, n_tx), (n_rx, n_rx))
+    return SystemModel(channel=h, noise_cov=_pd_cov(b), n_streams=n_streams, power=power)
 
 
 def generate_weighting(seed: int, dims) -> WeightingOperator:
     """Deterministic single-factor weighting operator with a PD offset."""
     _, _, n_streams, m = check_dims(dims)
-    stream = SplitMix64(seed)
-    w = stream.complex_normal(n_streams, m)
-    pi = _pd_cov(stream, m)
-    return WeightingOperator(weights=(w,), offset=pi)
+    w, b = _draw(seed, (n_streams, m), (m, m))
+    return WeightingOperator(weights=(w,), offset=_pd_cov(b))
 
 
 def generate_relay(seed: int, dims, power: float) -> RelayModel:
     """Deterministic two-hop relay instance for (seed, dims, power)."""
     n_tx, n_rx, n_streams, m = check_dims(dims)
-    stream = SplitMix64(seed)
-    h1 = stream.complex_normal(n_streams, m)
-    h2 = stream.complex_normal(n_rx, n_tx)
-    r_s = _pd_cov(stream, m)
-    r_n1 = _pd_cov(stream, n_streams)
-    r_n2 = _pd_cov(stream, n_rx)
-    return RelayModel(
-        channel1=h1, channel2=h2, source_cov=r_s, noise1_cov=r_n1, noise2_cov=r_n2, power=power
-    )
+    h1, h2, b_s, b_1, b_2 = _draw(seed, (n_streams, m), (n_rx, n_tx), (m, m),
+                                  (n_streams, n_streams), (n_rx, n_rx))
+    return RelayModel(channel1=h1, channel2=h2, source_cov=_pd_cov(b_s), noise1_cov=_pd_cov(b_1),
+                      noise2_cov=_pd_cov(b_2), power=power)
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +166,7 @@ def weighting_from_json(obj) -> WeightingOperator:
         raise ConfigError("instance weighting: need W and Pi")
     w_obj = obj["W"]
     if isinstance(w_obj, list) and w_obj and isinstance(w_obj[0], list) and w_obj[0] and isinstance(w_obj[0][0], list) and w_obj[0][0] and isinstance(w_obj[0][0][0], list):
-        weights = tuple(
-            matrix_from_json(wk, f"instance.W[{i}]") for i, wk in enumerate(w_obj)
-        )
+        weights = tuple(matrix_from_json(wk, f"instance.W[{i}]") for i, wk in enumerate(w_obj))
     else:
         weights = (matrix_from_json(w_obj, "instance.W"),)
     pi = _hermitian_from_json(obj, "Pi")
@@ -177,18 +177,10 @@ def relay_from_json(obj, power: float) -> RelayModel:
     """Build a RelayModel from config fields H1, H2, R_s, R_n1, R_n2."""
     keys = ("H1", "H2", "R_s", "R_n1", "R_n2")
     _instance_fields(obj, keys)
-    mats = {}
-    for key in keys:
-        if key.startswith("H"):
-            mats[key] = matrix_from_json(obj[key], f"instance.{key}")
-        else:
-            mats[key] = _hermitian_from_json(obj, key)
-    return _model_from_json(
-        RelayModel,
-        channel1=mats["H1"],
-        channel2=mats["H2"],
-        source_cov=mats["R_s"],
-        noise1_cov=mats["R_n1"],
-        noise2_cov=mats["R_n2"],
-        power=power,
+    h1, h2, r_s, r_n1, r_n2 = (
+        matrix_from_json(obj[key], f"instance.{key}") if key.startswith("H")
+        else _hermitian_from_json(obj, key)
+        for key in keys
     )
+    return _model_from_json(RelayModel, channel1=h1, channel2=h2, source_cov=r_s,
+                            noise1_cov=r_n1, noise2_cov=r_n2, power=power)

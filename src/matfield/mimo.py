@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidWeight, NumericalError, ShapeError
-from .spectral import _ct, _inner, _left, as_covariance, as_matrix, as_shaped, symmetrize
+from .spectral import _ct, _inner, _left, as_covariance, as_matrix, as_shaped, frozen, symmetrize
 
 
 def is_integer(value) -> bool:
@@ -33,9 +33,16 @@ def is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def trusted(cls, **fields):
+    """A cls model from fields checked elsewhere (arrays read-only), without its checks."""
+    model = object.__new__(cls)
+    vars(model).update(fields)
+    return model
+
+
 @dataclass(frozen=True, eq=False)
 class SystemModel:
-    """Channel, noise covariance, stream count, and transmit power budget.
+    """Channel, noise covariance, stream count, and power budget; matrices kept read-only.
 
     channel    : n_rx x n_tx complex gain matrix
     noise_cov  : n_rx x n_rx Hermitian, strictly positive definite
@@ -50,15 +57,13 @@ class SystemModel:
 
     def __post_init__(self):
         h = as_matrix(self.channel)
-        r = as_covariance(self.noise_cov, h.shape[0], "noise covariance R_n")
+        r = as_covariance(self.noise_cov, h.shape[0], "noise covariance R_n")[0]
         if not is_integer(self.n_streams) or self.n_streams < 1:
             raise ValueError(f"n_streams must be an integer of at least 1, got {self.n_streams!r}")
         if not is_real(self.power) or not 0.0 < self.power < np.inf:
             raise ValueError("power budget must be positive and finite")
-        object.__setattr__(self, "channel", h)
-        object.__setattr__(self, "noise_cov", r)
-        object.__setattr__(self, "n_streams", int(self.n_streams))
-        object.__setattr__(self, "power", float(self.power))
+        vars(self).update(channel=frozen(h.copy(order="K")), noise_cov=r,
+                          n_streams=int(self.n_streams), power=float(self.power))
 
     @property
     def n_rx(self) -> int:

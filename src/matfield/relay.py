@@ -28,9 +28,9 @@ import numpy as np
 
 from .design import PrecoderDesign, design_det_min, design_trace_min
 from .errors import NumericalError
-from .mimo import SystemModel, is_real
+from .mimo import SystemModel, is_real, trusted
 from .spectral import Congruence, _ct, _inner, _left, _right, as_covariance, as_matrix
-from .spectral import as_shaped, from_eigs, logdet_pd, pd_roots, symmetrize
+from .spectral import as_shaped, from_eigs, frozen, logdet_of, pd_roots, symmetrize
 from .weighting import WeightingOperator
 
 
@@ -45,8 +45,9 @@ class RelayModel:
     noise2_cov : n_dst x n_dst, strictly positive definite R_n2
     power      : relay budget, Tr(P C1 P^H) <= power
 
-    Construction also sets c1 (C1 = H1 R_s H1^H + R_n1, the relay-input
-    covariance, always PD) and s_congruence.
+    Construction keeps read-only copies of the checked matrices and also
+    sets c1 (C1 = H1 R_s H1^H + R_n1, the relay-input covariance, always PD)
+    and s_congruence; c1 and every cached matrix are read-only too.
     """
 
     channel1: np.ndarray
@@ -59,22 +60,18 @@ class RelayModel:
     def __post_init__(self):
         h1 = as_matrix(self.channel1)
         h2 = as_matrix(self.channel2)
-        rs = as_covariance(self.source_cov, h1.shape[1], "source covariance R_s")
-        r1 = as_covariance(self.noise1_cov, h1.shape[0], "relay noise covariance R_n1")
-        r2 = as_covariance(self.noise2_cov, h2.shape[0], "destination noise covariance R_n2")
+        rs = as_covariance(self.source_cov, h1.shape[1], "source covariance R_s")[0]
+        r1 = as_covariance(self.noise1_cov, h1.shape[0], "relay noise covariance R_n1")[0]
+        r2 = as_covariance(self.noise2_cov, h2.shape[0], "destination noise covariance R_n2")[0]
         if not is_real(self.power) or not 0.0 < self.power < np.inf:
             raise ValueError("relay power budget must be positive and finite")
-        object.__setattr__(self, "channel1", h1)
-        object.__setattr__(self, "channel2", h2)
-        object.__setattr__(self, "source_cov", rs)
-        object.__setattr__(self, "noise1_cov", r1)
-        object.__setattr__(self, "noise2_cov", r2)
-        object.__setattr__(self, "power", float(self.power))
         # derived matrices of the chain kernels: C1 and the congruence
         # G -> S^H G S with S = H1 R_s (n_relay_rx x n_src), and its adjoint
-        s_map = h1 @ rs
-        object.__setattr__(self, "c1", symmetrize(s_map @ h1.conj().T + r1))
-        object.__setattr__(self, "s_congruence", Congruence((s_map,)))
+        s_map = frozen(h1 @ rs)
+        vars(self).update(channel1=frozen(h1.copy(order="K")), channel2=frozen(h2.copy(order="K")),
+                          source_cov=rs, noise1_cov=r1, noise2_cov=r2, power=float(self.power),
+                          c1=frozen(symmetrize(s_map @ h1.conj().T + r1)),
+                          s_congruence=Congruence((s_map,)))
 
     @property
     def n_src(self) -> int:
@@ -96,12 +93,12 @@ class RelayModel:
     def q_gram(self) -> np.ndarray:
         """Q = S S^H with S = H1 R_s."""
         s_map = self.s_congruence.factors[0]
-        return symmetrize(s_map @ np.conj(s_map.T))
+        return frozen(symmetrize(s_map @ np.conj(s_map.T)))
 
     @cached_property
     def c1_roots(self) -> tuple[np.ndarray, np.ndarray]:
         """(C1^{1/2}, C1^{-1/2}) from one eigendecomposition of C1."""
-        return pd_roots(self.c1, "first-hop Gram C1")
+        return tuple(map(frozen, pd_roots(self.c1, "first-hop Gram C1")))
 
     @cached_property
     def _source_trace(self) -> float:
@@ -145,10 +142,11 @@ def relay_to_weighted(model: RelayModel) -> tuple[SystemModel, WeightingOperator
 
     The offset Pi = R_s - W^H W is the first-hop LMMSE error covariance; it
     is rebuilt from its eigendecomposition only when rounding left a
-    slightly negative eigenvalue (floor -1e-12 * Tr).
+    slightly negative eigenvalue (floor -1e-12 * Tr).  Both models reuse the
+    chain's checked matrices, and the spectrum of that one eigh is the offset's.
     """
     h1rs = model.s_congruence.factors[0]
-    w = model.c1_roots[1] @ h1rs
+    w = frozen(model.c1_roots[1] @ h1rs)
     try:
         x = np.linalg.solve(model.c1, h1rs)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - C1 is PD
@@ -158,17 +156,12 @@ def relay_to_weighted(model: RelayModel) -> tuple[SystemModel, WeightingOperator
     if eigs.min() < 0.0:
         floor = -1e-12 * max(float(np.real(np.trace(pi))), 1e-300)
         if eigs.min() < floor:
-            raise NumericalError(
-                "first-hop error covariance lost semi-definiteness beyond rounding"
-            )
+            raise NumericalError("first-hop error covariance lost semi-definiteness beyond rounding")
         pi = from_eigs(vecs, np.clip(eigs, 0.0, None))
-    sysmodel = SystemModel(
-        channel=model.channel2,
-        noise_cov=model.noise2_cov,
-        n_streams=model.n_relay_rx,
-        power=model.power,
-    )
-    return sysmodel, WeightingOperator(weights=(w,), offset=pi)
+        eigs = np.linalg.eigvalsh(pi)
+    sysmodel = trusted(SystemModel, channel=model.channel2, noise_cov=model.noise2_cov,
+                       n_streams=model.n_relay_rx, power=model.power)
+    return sysmodel, trusted(WeightingOperator, weights=(w,), offset=frozen(pi), offset_eigs=frozen(eigs))
 
 
 def precoder_to_forwarding(model: RelayModel, precoder) -> np.ndarray:
@@ -203,7 +196,7 @@ def relay_capacity_routes(model: RelayModel, forwarding) -> tuple[float, float]:
     does not cancel when the destination is wider than the signal rank.
     """
     p = _check_forwarding(model, forwarding)
-    cap_err = logdet_pd(model.source_cov) - logdet_pd(relay_weighted_mse(model, p))
+    cap_err = logdet_of(model.source_cov) - logdet_of(relay_weighted_mse(model, p))
     t = model.channel2 @ p
     c = symmetrize(t @ model.noise1_cov @ t.conj().T + model.noise2_cov)
     try:
@@ -211,7 +204,7 @@ def relay_capacity_routes(model: RelayModel, forwarding) -> tuple[float, float]:
         b = np.linalg.solve(np.linalg.cholesky(c), a_ls)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - C and R_s are PD
         raise NumericalError(f"capacity whitening failed: {exc}") from None
-    return cap_err, logdet_pd(np.eye(model.n_src) + symmetrize(b.conj().T @ b))
+    return cap_err, logdet_of(np.eye(model.n_src) + symmetrize(b.conj().T @ b))
 
 
 def relay_capacity(model: RelayModel, forwarding) -> float:

@@ -49,7 +49,7 @@ def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise InvalidMatrix(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():  # complex isfinite covers both parts
         raise InvalidMatrix("matrix contains NaN or Inf entries")
     return m
 
@@ -81,17 +81,25 @@ def hermitize(a) -> np.ndarray:
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise InvalidMatrix(f"Hermitian matrix must be square, got {m.shape}")
-    gap = np.linalg.norm(m - m.conj().T)
-    if gap > HERMITIAN_RTOL * max(1.0, np.linalg.norm(m)):
-        raise InvalidMatrix(
-            "matrix is not Hermitian (asymmetry {:.3e} exceeds tolerance)".format(gap)
-        )
-    return (m + m.conj().T) / 2.0
+    mh = m.conj().T
+    if not (m == mh).all():  # an exactly Hermitian A has no asymmetry to measure
+        gap = np.linalg.norm(m - mh)
+        if gap > HERMITIAN_RTOL * max(1.0, np.linalg.norm(m)):
+            raise InvalidMatrix(
+                "matrix is not Hermitian (asymmetry {:.3e} exceeds tolerance)".format(gap)
+            )
+    return (m + mh) / 2.0
 
 
-def as_covariance(a, n: int, name: str, definite: bool = True) -> np.ndarray:
-    """hermitize(a), checked to be n x n and positive definite (semi-definite
-    unless definite); the ShapeError, NotPD or NotPSD names the matrix."""
+def frozen(a: np.ndarray) -> np.ndarray:
+    """a made read-only; a must be an array that no caller holds."""
+    a.flags.writeable = False
+    return a
+
+
+def as_covariance(a, n: int, name: str, definite: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (hermitize(a), its eigenvalues), checked to be n x n and positive definite
+    (semi-definite unless definite); the ShapeError, NotPD or NotPSD names the matrix."""
     h = hermitize(a)
     if h.shape[0] != n:
         raise ShapeError(f"{name} is {h.shape[0]}x{h.shape[0]}, but must be {n}x{n}")
@@ -100,7 +108,7 @@ def as_covariance(a, n: int, name: str, definite: bool = True) -> np.ndarray:
         raise NotPD(f"{name} must be strictly positive definite")
     if not definite and not eigs_are_psd(w):
         raise NotPSD(f"{name} must be positive semi-definite")
-    return h
+    return frozen(h), frozen(w)
 
 
 def from_eigs(u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -116,10 +124,10 @@ def _phase_fix(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     if cols.shape[1] == 0:
         return cols.copy(), np.ones(0, dtype=np.complex128)
-    idx = np.argmax(np.abs(cols), axis=0)
-    pivots = cols[idx, np.arange(cols.shape[1])]
-    mags = np.abs(pivots)
-    factors = np.where(mags > 0.0, np.conj(pivots) / np.where(mags > 0.0, mags, 1.0), 1.0)
+    mag = np.abs(cols)
+    at = (mag.argmax(axis=0), np.arange(cols.shape[1]))
+    nonzero = mag[at] > 0.0
+    factors = np.where(nonzero, cols[at].conj() / np.where(nonzero, mag[at], 1.0), 1.0)
     return cols * factors[None, :], factors
 
 
@@ -128,10 +136,10 @@ def _tie_order(values: np.ndarray, cols: np.ndarray) -> np.ndarray:
     big = np.abs(cols) > _ENTRY_TOL
     # argmax finds each column's first entry above tolerance; a column with
     # none keeps index 0, where its masked sign is 0
-    first_idx = np.argmax(big, axis=0)
-    first_sign = (np.sign(cols.real) * big)[first_idx, np.arange(cols.shape[1])]
+    at = (big.argmax(axis=0), np.arange(cols.shape[1]))
+    first_sign = np.sign(cols.real[at]) * big[at]
     # np.lexsort: last key is primary, earlier keys break ties, stable overall
-    return np.lexsort((first_sign, first_idx, -values))
+    return np.lexsort((first_sign, at[0], -values))
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,17 +168,16 @@ def ordered_svd(a) -> OrderedSVD:
         raise InvalidMatrix(f"SVD did not converge: {exc}") from None
     v = vh.conj().T
     k = s.size
-    paired_u, factors = _phase_fix(u[:, :k])
-    u = u.copy()
+    # each column's phase is fixed on its own, so all of u at once; the
+    # unpaired columns k: stay where they are, as the reordering spares them
+    u, factors = _phase_fix(u)
     v = v.copy()
-    u[:, :k] = paired_u
-    v[:, :k] = v[:, :k] * factors[None, :]
-    order = _tie_order(s, u[:, :k])
-    u[:, :k] = u[:, order]
-    v[:, :k] = v[:, order]
-    s = s[order]
-    if u.shape[1] > k:
-        u[:, k:], _ = _phase_fix(u[:, k:])
+    v[:, :k] = v[:, :k] * factors[None, :k]
+    if not (s[1:] < s[:-1]).all():  # LAPACK's order stands unless two values tie
+        order = _tie_order(s, u[:, :k])
+        u[:, :k] = u[:, order]
+        v[:, :k] = v[:, order]
+        s = s[order]
     if v.shape[1] > k:
         v[:, k:], _ = _phase_fix(v[:, k:])
     return OrderedSVD(u=u, s=s, v=v)
@@ -187,28 +194,38 @@ def ordered_evd(a) -> OrderedEVD:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise InvalidMatrix(f"eigendecomposition did not converge: {exc}") from None
     u, _ = _phase_fix(u)
-    order = _tie_order(w, u)
+    # eigh's order is increasing, so without ties the decreasing one is its reverse
+    order = np.arange(w.size)[::-1] if (w[1:] > w[:-1]).all() else _tie_order(w, u)
     return OrderedEVD(values=w[order], vectors=u[:, order])
+
+
+def pd_root_eigh(h: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """(U, sqrt(w)) from the eigh of an h already exactly Hermitian; NotPD unless PD."""
+    w, u = np.linalg.eigh(h)
+    if not eigs_are_pd(w):
+        raise NotPD(f"{name} is not strictly positive definite")
+    return u, np.sqrt(w)
 
 
 def pd_roots(a, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
     """(A^{1/2}, A^{-1/2}) of a Hermitian strictly positive definite A, from one eigh."""
-    w, u = np.linalg.eigh(hermitize(a))
-    if not eigs_are_pd(w):
-        raise NotPD(f"{name} is not strictly positive definite")
-    root = np.sqrt(w)
+    u, root = pd_root_eigh(hermitize(a), name)
     return from_eigs(u, root), from_eigs(u, 1.0 / root)
 
 
-def logdet_pd(a) -> float:
-    """log det of a Hermitian strictly positive definite matrix."""
-    h = hermitize(a)
+def logdet_of(h: np.ndarray) -> float:
+    """logdet_pd of an h that is already exactly Hermitian, unchecked."""
     w = np.linalg.eigvalsh(h)
     if w.size == 0:
         return 0.0
     if not eigs_are_pd(w):
         raise NotPD("log-determinant requires a positive definite matrix")
-    return float(np.sum(np.log(w)))
+    return float(np.log(w).sum())
+
+
+def logdet_pd(a) -> float:
+    """log det of a Hermitian strictly positive definite matrix."""
+    return logdet_of(hermitize(a))
 
 
 def loewner_leq(a, b, tol: float = 1e-8) -> bool:

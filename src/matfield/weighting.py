@@ -21,28 +21,27 @@ import numpy as np
 
 from .errors import InvalidWeight, ShapeError
 from .mimo import SystemModel, mse_lmmse
-from .spectral import Congruence, as_covariance, as_matrix, hermitize, symmetrize
+from .spectral import Congruence, as_covariance, as_matrix, frozen, hermitize, symmetrize
 
 
 @dataclass(frozen=True, eq=False)
 class WeightingOperator:
-    """Immutable bundle of weighting factors (W_1, ..., W_K) and offset Pi."""
+    """Immutable bundle of weighting factors (W_1, ..., W_K) and offset Pi, kept as
+    read-only copies, with offset_eigs, the offset's eigenvalues (increasing)."""
 
     weights: tuple
     offset: np.ndarray
 
     def __post_init__(self):
-        ws = tuple(as_matrix(w) for w in self.weights)
+        ws = tuple(frozen(as_matrix(w).copy(order="K")) for w in self.weights)
         if len(ws) < 1:
             raise InvalidWeight("need at least one weighting factor")
         shape = ws[0].shape
         for w in ws[1:]:
             if w.shape != shape:
                 raise ShapeError(f"all weighting factors W_k must share shape {shape}, got {w.shape}")
-        pi = as_covariance(self.offset, shape[1], "offset matrix Pi", definite=False)
-        object.__setattr__(self, "weights", ws)
-        object.__setattr__(self, "offset", pi)
-        object.__setattr__(self, "_congruence", Congruence(ws))
+        pi, eigs = as_covariance(self.offset, shape[1], "offset matrix Pi", definite=False)
+        vars(self).update(weights=ws, offset=pi, offset_eigs=eigs)
 
     @property
     def k(self) -> int:
@@ -66,13 +65,17 @@ class WeightingOperator:
         return symmetrize(self.psi(p))
 
     @cached_property
+    def _congruence(self) -> Congruence:
+        return Congruence(self.weights)
+
+    @cached_property
     def _offset_trace(self) -> float:
         return float(np.real(np.trace(self.offset)))
 
     @cached_property
     def stream_gram(self) -> np.ndarray:
         """sum_k W_k W_k^H (n_streams x n_streams), built once per operator."""
-        return symmetrize(sum(w @ w.conj().T for w in self.weights))
+        return frozen(symmetrize(sum(w @ w.conj().T for w in self.weights)))
 
     def psi(self, phi: np.ndarray) -> np.ndarray:
         """sum_k W_k^H Phi W_k + Pi of one matrix or each stack member, unchecked."""
@@ -118,4 +121,5 @@ def check_streams(op: WeightingOperator, model: SystemModel) -> None:
 def weighted_mse_of_precoder(op: WeightingOperator, model: SystemModel, precoder) -> np.ndarray:
     """Weighted error covariance at the MMSE equalizer for a given precoder."""
     check_streams(op, model)
-    return op.apply(mse_lmmse(model, precoder))
+    # op.apply's checks would change nothing on the exactly Hermitian Phi of mse_lmmse
+    return symmetrize(op.psi(mse_lmmse(model, precoder)))

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -12,9 +13,14 @@ from matfield import (
     WeightingOperator,
     assemble_precoder,
     design_det_min,
+    design_relay_capacity,
+    design_relay_sum_mse,
     design_trace_min,
     det_sum_lower_bound,
     from_classical_weights,
+    generate_relay,
+    generate_system,
+    generate_weighting,
     logdet_kkt_residual,
     logdet_pd,
     ordered_evd,
@@ -26,6 +32,8 @@ from matfield import (
     weighted_mse_of_precoder,
     whiten_channel,
 )
+
+from matfield.rng import derive_seed
 
 import helpers
 
@@ -507,3 +515,43 @@ def test_logdet_pairing_beats_permutations():
         for perm in itertools.permutations(range(n)):
             alt = pair_opt(lam_t[list(perm)], lam_h, 3.0, "logdet")
             assert best <= alt + 1e-7
+
+
+# The objective_value and the precoder (SHA-256 of its bytes, first 16 hex
+# digits) of each design at two generic shapes, on the instances of trial 0
+# of the harness at seed 0; the relay designs are the returned
+# PrecoderDesign of the equivalent point-to-point model.  Pinned bit for bit
+# (numpy 2.4 with OpenBLAS 0.3.31, x86-64): a change meant to move no number
+# must leave every entry as it is.
+GOLDEN_DESIGN = {
+    ((3, 4, 2, 3), 4.0): {
+        "trace": (6.903327629708018, "e8cd22bc6c8ce78f"),
+        "det": (1.577217269197418, "be1f33435abd9b7f"),
+        "relay-mse": (3.4339724091936006, "31350f1967aa4b3e"),
+        "relay-capacity": (-0.6170440162243531, "11cfb6f3e4a2a6c8"),
+    },
+    ((4, 4, 4, 4), 100.0): {
+        "trace": (12.576552912094181, "98c0560923ceb98e"),
+        "det": (1.8296856967205435, "418e6106e704347d"),
+        "relay-mse": (6.200492093827272, "6c3d40eb88ea5fa8"),
+        "relay-capacity": (-2.397073588629244, "0fda2ea8c510a09c"),
+    },
+}
+
+
+@pytest.mark.parametrize("dims, power", sorted(GOLDEN_DESIGN))
+def test_designs_match_golden(dims, power):
+    model = generate_system(derive_seed(0, 0, 0), dims, power)
+    op = generate_weighting(derive_seed(0, 0, 1), dims)
+    relay = generate_relay(derive_seed(0, 0, 0), dims, power)
+    designs = {
+        "trace": design_trace_min(model, op),
+        "det": design_det_min(model, op),
+        "relay-mse": design_relay_sum_mse(relay)[2],
+        "relay-capacity": design_relay_capacity(relay)[2],
+    }
+    got = {
+        family: (d.objective_value, hashlib.sha256(d.precoder.tobytes()).hexdigest()[:16])
+        for family, d in designs.items()
+    }
+    assert got == GOLDEN_DESIGN[(dims, power)]

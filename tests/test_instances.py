@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from matfield import ConfigError
+from matfield import ConfigError, RelayModel, SystemModel, WeightingOperator, symmetrize
 from matfield.instances import (
     generate_relay,
     generate_system,
@@ -12,6 +12,7 @@ from matfield.instances import (
     system_from_json,
     weighting_from_json,
 )
+from matfield.rng import SplitMix64
 
 DIMS = (2, 3, 2, 2)
 
@@ -57,6 +58,52 @@ def test_instance_sweep_valid():
         generate_system(seed, (2, 2, 2, 2), 4.0)
     for seed in range(100):
         generate_relay(seed, (2, 2, 2, 2), 4.0)
+
+
+def _per_matrix_draws(seed, *shapes):
+    # the documented order, one complex_normal call per matrix
+    stream = SplitMix64(seed)
+    return [stream.complex_normal(rows, cols) for rows, cols in shapes]
+
+
+def _cov(b):
+    return symmetrize(b.conj().T @ b + 0.1 * np.eye(b.shape[0]))
+
+
+def _bytes(*arrays):
+    return [a.tobytes() for a in arrays]
+
+
+DRAW_DIMS = [(d,) * 4 for d in range(1, 9)] + [
+    (1, 8, 3, 5), (8, 1, 5, 3), (2, 7, 4, 6), (7, 2, 6, 4),
+    (3, 5, 8, 1), (5, 3, 1, 8), (6, 4, 2, 7), (4, 6, 7, 2),
+]
+
+
+@pytest.mark.parametrize("dims", DRAW_DIMS, ids=lambda d: "x".join(map(str, d)))
+def test_one_draw_per_instance_is_the_per_matrix_stream(dims):
+    # each generator draws once and slices; the models must be bitwise those
+    # built from one complex_normal call per matrix in the docstring's order
+    n_tx, n_rx, n_streams, m = dims
+    for seed in range(4):
+        h, b = _per_matrix_draws(seed, (n_rx, n_tx), (n_rx, n_rx))
+        want = SystemModel(channel=h, noise_cov=_cov(b), n_streams=n_streams, power=4.0)
+        got = generate_system(seed, dims, 4.0)
+        assert _bytes(got.channel, got.noise_cov) == _bytes(want.channel, want.noise_cov)
+
+        w, b = _per_matrix_draws(seed, (n_streams, m), (m, m))
+        want = WeightingOperator(weights=(w,), offset=_cov(b))
+        got = generate_weighting(seed, dims)
+        assert _bytes(got.weights[0], got.offset) == _bytes(want.weights[0], want.offset)
+
+        h1, h2, b_s, b_1, b_2 = _per_matrix_draws(
+            seed, (n_streams, m), (n_rx, n_tx), (m, m), (n_streams, n_streams), (n_rx, n_rx)
+        )
+        want = RelayModel(channel1=h1, channel2=h2, source_cov=_cov(b_s), noise1_cov=_cov(b_1),
+                          noise2_cov=_cov(b_2), power=4.0)
+        got = generate_relay(seed, dims, 4.0)
+        fields = ("channel1", "channel2", "source_cov", "noise1_cov", "noise2_cov", "c1")
+        assert _bytes(*(getattr(got, f) for f in fields)) == _bytes(*(getattr(want, f) for f in fields))
 
 
 def test_bad_dims_rejected():
