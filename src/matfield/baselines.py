@@ -399,7 +399,7 @@ def random_search_oracle(
     values = problem.objective(x)
     best = float(np.min(values))
     if refinements > 0:
-        order = np.argsort(values, kind="stable")[: min(refinements, x.shape[0])]
+        order = np.argsort(values, kind="stable")[:refinements]
         refined, _ = projected_gradient_descent(problem, x[order])
         best = min(best, float(np.min(refined)))
     return best

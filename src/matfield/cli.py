@@ -14,18 +14,7 @@ import numpy as np
 
 from ._version import __version__
 from .errors import ConfigError, MatfieldError
-from .experiments import MODES, build_config, load_config_file, render_csv, render_table, run
-
-_MODE_HELP = {
-    "design-trace": "trace-optimal weighted design vs the random-search oracle",
-    "design-det": "log-det-optimal weighted design vs the random-search oracle",
-    "relay-mse": "relay sum-MSE design through the chain vs the oracle",
-    "relay-capacity": "relay capacity design through the chain vs the oracle",
-    "verify-inequalities": "spectral trace/determinant bounds and equality cases",
-    "verify-equivalence": "relay chain vs weighted point-to-point consistency",
-    "oracle-compare": "both point-to-point designs vs the oracle per instance",
-    "demo-schur": "informational near-uniform-weight rotation demo",
-}
+from .experiments import _MODE_TABLE, build_config, load_config_file, render_csv, render_table, run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -35,8 +24,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"matfield {__version__}")
     sub = parser.add_subparsers(dest="mode", metavar="mode")
-    for mode in MODES:
-        p = sub.add_parser(mode, help=_MODE_HELP[mode])
+    for mode, (summary, _, _) in _MODE_TABLE.items():
+        p = sub.add_parser(mode, help=summary)
         p.add_argument("--config", metavar="PATH", help="JSON config file")
         p.add_argument("--seed", type=int, metavar="N", help="master seed")
         p.add_argument("--trials", type=int, metavar="N", help="number of trials")

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPD, NotPSD, PreconditionError, ShapeError, Unsupported
+from .errors import NotPD, PreconditionError, ShapeError, Unsupported
 from .mimo import SystemModel, trusted
-from .spectral import as_matrix, eigs_are_pd, eigs_are_psd, from_eigs, frozen, hermitize
-from .spectral import logdet_of, ordered_evd, ordered_svd, pd_root_eigh, symmetrize
+from .spectral import as_covariance, as_matrix, eigs_are_pd, from_eigs, frozen, logdet_of
+from .spectral import ordered_evd, ordered_svd, pd_root_eigh, symmetrize
 from .weighting import WeightingOperator, check_streams, weighted_mse_of_precoder
 
 # the log-det solve stops once sum x is within this many ulps of the budget
@@ -82,20 +82,6 @@ def whiten_channel(model: SystemModel) -> WhitenedChannel:
 # spectral lower bounds used by the structural arguments
 
 
-def _psd_pair(a, b):
-    """Hermitian A, B of equal shape and their increasing spectra; both must be PSD."""
-    ha = hermitize(a)
-    hb = hermitize(b)
-    if ha.shape != hb.shape:
-        raise ShapeError(f"need equal shapes, got {ha.shape} vs {hb.shape}")
-    wa = np.linalg.eigvalsh(ha)
-    wb = np.linalg.eigvalsh(hb)
-    for w, name in ((wa, "A"), (wb, "B")):
-        if not eigs_are_psd(w):
-            raise NotPSD(f"{name} must be positive semi-definite")
-    return ha, hb, wa, wb
-
-
 def trace_product_lower_bound(a, b, slack: float = 1e-9) -> tuple[float, bool]:
     """Reverse-ordered eigenvalue bound sum_i lam_i(A) lam_{N-i+1}(B) <= Tr(AB).
 
@@ -103,7 +89,8 @@ def trace_product_lower_bound(a, b, slack: float = 1e-9) -> tuple[float, bool]:
     where holds allows `slack` relative to max(1, |Tr(AB)|).  Equality is
     attained when A and B share eigenvectors with reversed eigenvalue order.
     """
-    ha, hb, wa, wb = _psd_pair(a, b)
+    ha, wa = as_covariance(a, as_matrix(a).shape[0], "A", definite=False)
+    hb, wb = as_covariance(b, ha.shape[0], "B", definite=False)
     bound = float(np.sum(wa[::-1] * wb))  # A decreasing against B increasing
     tr = float(np.real(np.trace(ha @ hb)))
     holds = bound <= tr + slack * max(1.0, abs(tr))
@@ -116,7 +103,8 @@ def det_sum_lower_bound(a, b, slack: float = 1e-9) -> tuple[float, bool]:
     Both spectra sorted decreasing.  Equality is attained when A and B share
     eigenvectors with both eigenvalue lists in decreasing order.
     """
-    ha, hb, wa, wb = _psd_pair(a, b)
+    ha, wa = as_covariance(a, as_matrix(a).shape[0], "A", definite=False)
+    hb, wb = as_covariance(b, ha.shape[0], "B", definite=False)
     bound = float(np.prod(wa[::-1] + wb[::-1]))  # both decreasing, aligned
     det = float(np.real(np.linalg.det(ha + hb)))
     holds = bound <= det * (1.0 + slack) + 1e-15 * max(1.0, abs(det))

@@ -285,7 +285,7 @@ def _system(cfg: ExperimentConfig, trial: int):
 def _system_and_weighting(cfg: ExperimentConfig, trial: int):
     """The trial's model and a single-factor weighting that fits its streams."""
     model = _system(cfg, trial)
-    if cfg.instance is not None and "W" in cfg.instance:
+    if cfg.instance is not None and ("W" in cfg.instance or "Pi" in cfg.instance):
         op = weighting_from_json(cfg.instance)
         if op.k != 1:
             raise ConfigError(f"instance.W: the closed-form designs take one factor, got {op.k}")
@@ -481,22 +481,29 @@ def _largest(name: str, *keys: str):
     return lambda records: {name: float(max(r["detail"][k] for r in records for k in keys))}
 
 
-# mode -> (per-trial function, aggregate of the records); MODES keeps this order
+# mode -> (CLI help line, per-trial function, aggregate of the records);
+# MODES keeps this order
 _MODE_TABLE = {
-    "design-trace": (lambda cfg, trial: _point_design(cfg, trial, "trace"), _worst_gap),
-    "design-det": (lambda cfg, trial: _point_design(cfg, trial, "det"), _worst_gap),
-    "relay-mse": (lambda cfg, trial: _relay_design(cfg, trial, "trace"), _worst_gap),
-    "relay-capacity": (lambda cfg, trial: _relay_design(cfg, trial, "det"), _worst_gap),
+    "design-trace": ("trace-optimal weighted design vs the random-search oracle",
+                     lambda cfg, trial: _point_design(cfg, trial, "trace"), _worst_gap),
+    "design-det": ("log-det-optimal weighted design vs the random-search oracle",
+                   lambda cfg, trial: _point_design(cfg, trial, "det"), _worst_gap),
+    "relay-mse": ("relay sum-MSE design through the chain vs the oracle",
+                  lambda cfg, trial: _relay_design(cfg, trial, "trace"), _worst_gap),
+    "relay-capacity": ("relay capacity design through the chain vs the oracle",
+                       lambda cfg, trial: _relay_design(cfg, trial, "det"), _worst_gap),
     "verify-inequalities": (
-        _verify_inequalities,
+        "spectral trace/determinant bounds and equality cases", _verify_inequalities,
         _largest("max_equality_rel_gap", "trace_equality_rel_gap", "det_equality_rel_gap"),
     ),
     "verify-equivalence": (
-        _verify_equivalence,
+        "relay chain vs weighted point-to-point consistency", _verify_equivalence,
         _largest("max_rel_discrepancy", "route_rel_gap", "capacity_rel_gap", "end_to_end_rel_gap"),
     ),
-    "oracle-compare": (_oracle_compare, _worst_gap),
-    "demo-schur": (_demo_schur, _largest("max_stream_mse_spread", "stream_mse_spread")),
+    "oracle-compare": ("both point-to-point designs vs the oracle per instance",
+                       _oracle_compare, _worst_gap),
+    "demo-schur": ("informational near-uniform-weight rotation demo",
+                   _demo_schur, _largest("max_stream_mse_spread", "stream_mse_spread")),
 }
 MODES = tuple(_MODE_TABLE)
 
@@ -508,7 +515,7 @@ MODES = tuple(_MODE_TABLE)
 def run(cfg: ExperimentConfig) -> dict:
     """Execute the configured mode and return the report dict."""
     start = time.perf_counter()
-    per_trial, aggregate_of = _MODE_TABLE[cfg.mode]
+    _, per_trial, aggregate_of = _MODE_TABLE[cfg.mode]
     records = [rec for trial in range(cfg.trials) for rec in per_trial(cfg, trial)]
     failures = sum(0 if _record_pass(r["invariant_pass"]) else 1 for r in records)
     aggregate = {
@@ -593,7 +600,7 @@ def render_csv(report: dict) -> str:
             name
             for r in records
             for name, v in r.get("detail", {}).items()
-            if isinstance(v, (int, float)) and v is not None
+            if isinstance(v, (int, float))
         }
     )
     cols = [key for _, key, _ in _COLUMNS]

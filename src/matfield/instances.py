@@ -161,11 +161,17 @@ def system_from_json(obj, power: float) -> SystemModel:
 
 
 def weighting_from_json(obj) -> WeightingOperator:
-    """Build a WeightingOperator from config fields W (matrix or list) and Pi."""
-    if not isinstance(obj, dict) or "W" not in obj or "Pi" not in obj:
-        raise ConfigError("instance weighting: need W and Pi")
-    w_obj = obj["W"]
-    if isinstance(w_obj, list) and w_obj and isinstance(w_obj[0], list) and w_obj[0] and isinstance(w_obj[0][0], list) and w_obj[0][0] and isinstance(w_obj[0][0][0], list):
+    """Build a WeightingOperator from config fields W (matrix or list) and Pi, which come together."""
+    if not isinstance(obj, dict):
+        raise ConfigError("instance: expected an object")
+    for key in ("W", "Pi"):
+        if key not in obj:
+            raise ConfigError(f"instance.{key}: missing")
+    w_obj = first = obj["W"]
+    depth = 0  # lists nested along the first entries: 3 for a matrix, 4 for a list of them
+    while isinstance(first, list) and depth < 4:
+        first, depth = (first[0] if first else None), depth + 1
+    if depth == 4:
         weights = tuple(matrix_from_json(wk, f"instance.W[{i}]") for i, wk in enumerate(w_obj))
     else:
         weights = (matrix_from_json(w_obj, "instance.W"),)

@@ -30,7 +30,7 @@ from .design import PrecoderDesign, design_det_min, design_trace_min
 from .errors import NumericalError
 from .mimo import SystemModel, is_real, trusted
 from .spectral import Congruence, _ct, _inner, _left, _right, as_covariance, as_matrix
-from .spectral import as_shaped, from_eigs, frozen, logdet_of, pd_roots, symmetrize
+from .spectral import as_shaped, from_eigs, frozen, logdet_of, pd_root_eigh, pd_roots, symmetrize
 from .weighting import WeightingOperator
 
 
@@ -47,7 +47,8 @@ class RelayModel:
 
     Construction keeps read-only copies of the checked matrices and also
     sets c1 (C1 = H1 R_s H1^H + R_n1, the relay-input covariance, always PD)
-    and s_congruence; c1 and every cached matrix are read-only too.
+    and s_congruence; c1 and every cached matrix (q_gram, c1_inv_root) are
+    read-only too.
     """
 
     channel1: np.ndarray
@@ -96,9 +97,10 @@ class RelayModel:
         return frozen(symmetrize(s_map @ np.conj(s_map.T)))
 
     @cached_property
-    def c1_roots(self) -> tuple[np.ndarray, np.ndarray]:
-        """(C1^{1/2}, C1^{-1/2}) from one eigendecomposition of C1."""
-        return tuple(map(frozen, pd_roots(self.c1, "first-hop Gram C1")))
+    def c1_inv_root(self) -> np.ndarray:
+        """C1^{-1/2}, the only root of C1 the designs read."""
+        u, root = pd_root_eigh(self.c1, "first-hop Gram C1")
+        return frozen(from_eigs(u, 1.0 / root))
 
     @cached_property
     def _source_trace(self) -> float:
@@ -146,7 +148,7 @@ def relay_to_weighted(model: RelayModel) -> tuple[SystemModel, WeightingOperator
     chain's checked matrices, and the spectrum of that one eigh is the offset's.
     """
     h1rs = model.s_congruence.factors[0]
-    w = frozen(model.c1_roots[1] @ h1rs)
+    w = frozen(model.c1_inv_root @ h1rs)
     try:
         x = np.linalg.solve(model.c1, h1rs)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - C1 is PD
@@ -167,13 +169,13 @@ def relay_to_weighted(model: RelayModel) -> tuple[SystemModel, WeightingOperator
 def precoder_to_forwarding(model: RelayModel, precoder) -> np.ndarray:
     """P = F C1^{-1/2}; preserves the power, Tr(P C1 P^H) = Tr(F F^H)."""
     f = as_shaped(precoder, (model.n_relay_tx, model.n_relay_rx), "precoder")
-    return f @ model.c1_roots[1]
+    return f @ model.c1_inv_root
 
 
 def forwarding_to_precoder(model: RelayModel, forwarding) -> np.ndarray:
     """Inverse map F = P C1^{1/2} of precoder_to_forwarding."""
     p = _check_forwarding(model, forwarding)
-    return p @ model.c1_roots[0]
+    return p @ pd_roots(model.c1, "first-hop Gram C1")[0]
 
 
 def relay_weighted_mse(model: RelayModel, forwarding) -> np.ndarray:

@@ -32,6 +32,9 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 
 def _mix(z: int) -> int:
+    # Python ints, not bulk_u64's arrays: derive_seed mixes one value at a time,
+    # and a one-element uint64 array makes derive_seed(seed, 3, 2) take 39 us
+    # instead of 3.3 us (numpy 2.4.6, 2 cores)
     z &= _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -69,16 +72,10 @@ class SplitMix64:
         self._state = (self._state + n * _GOLDEN) & _MASK64
         return z
 
-    def next_u64(self) -> int:
-        return int(self.bulk_u64(1)[0])
-
     def uniforms(self, n: int) -> np.ndarray:
         """n uniform doubles in (0, 1] from the top 53 bits of each output."""
         bits = self.bulk_u64(n) >> np.uint64(11)
         return (bits.astype(np.float64) + 1.0) * 2.0**-53
-
-    def uniform(self) -> float:
-        return float(self.uniforms(1)[0])
 
     def normals(self, n: int) -> np.ndarray:
         """n real standard normals via Box-Muller (pairs drawn, tail discarded)."""

@@ -34,9 +34,9 @@ PSD_RTOL = 1e-10         # relative eigenvalue floor accepted as "semi-definite"
 _ENTRY_TOL = 1e-12       # threshold for "non-negligible" vector entries
 
 
-def eigs_are_psd(w, rtol: float = PSD_RTOL) -> bool:
-    """True when the eigenvalues w clear the PSD floor min w >= -rtol * max|w|."""
-    return not w.size or bool(w.min() >= -rtol * max(float(np.abs(w).max()), 1e-300))
+def eigs_are_psd(w) -> bool:
+    """True when the eigenvalues w clear the PSD floor min w >= -PSD_RTOL * max|w|."""
+    return not w.size or bool(w.min() >= -PSD_RTOL * max(float(np.abs(w).max()), 1e-300))
 
 
 def eigs_are_pd(w) -> bool:

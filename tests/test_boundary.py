@@ -91,7 +91,7 @@ def _model_arrays():
         ("channel1", RELAY.channel1), ("channel2", RELAY.channel2), ("source_cov", RELAY.source_cov),
         ("noise1_cov", RELAY.noise1_cov), ("noise2_cov", RELAY.noise2_cov), ("c1", RELAY.c1),
         ("s_map", RELAY.s_congruence.factors[0]), ("q_gram", RELAY.q_gram),
-        ("c1_root", RELAY.c1_roots[0]), ("c1_inv_root", RELAY.c1_roots[1]),
+        ("c1_inv_root", RELAY.c1_inv_root),
         ("relay channel", sysmodel.channel), ("relay noise_cov", sysmodel.noise_cov),
         ("relay W", relay_op.weights[0]), ("relay Pi", relay_op.offset),
         ("relay Pi eigs", relay_op.offset_eigs), ("jittered Pi", jittered),

@@ -183,6 +183,10 @@ RELAY = {"H1": ONE, "H2": ONE, "R_s": ONE, "R_n1": ONE, "R_n2": ONE}
         ("verify-equivalence", {**RELAY, "n_streams": 1}, "instance.n_streams"),
         ("demo-schur", {**POINT, "W": EYE2}, "instance.W"),
         ("demo-schur", {"H": ONE, "R_n": ONE, "Pi": ONE}, "instance.Pi"),
+        ("design-trace", {"H": EYE2, "R_n": EYE2, "Pi": EYE2}, "instance.W: missing"),
+        ("design-det", {"H": EYE2, "R_n": EYE2, "Pi": EYE2}, "instance.W: missing"),
+        ("oracle-compare", {"H": EYE2, "R_n": EYE2, "Pi": EYE2}, "instance.W: missing"),
+        ("design-trace", {"H": EYE2, "R_n": EYE2, "W": EYE2}, "instance.Pi: missing"),
     ],
     ids=[
         "non-pd-noise",
@@ -207,6 +211,10 @@ RELAY = {"H1": ONE, "H2": ONE, "R_s": ONE, "R_n1": ONE, "R_n2": ONE}
         "streams-in-relay-instance",
         "demo-schur-takes-no-weight",
         "demo-schur-takes-no-offset",
+        "lone-offset-trace",
+        "lone-offset-det",
+        "lone-offset-oracle-compare",
+        "lone-weight",
     ],
 )
 def test_bad_instance_exits_two(tmp_path, capsys, mode, instance, field):

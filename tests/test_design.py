@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from matfield import (
+    InvalidMatrix,
     NotPD,
+    NotPSD,
     PreconditionError,
     ShapeError,
     SystemModel,
@@ -183,6 +185,27 @@ def test_det_bound_equality_on_aligned_order():
         det = np.linalg.det(a + b).real
         assert abs(bound - det) < 1e-9 * max(1.0, abs(det))
 
+
+
+NEG_DIAG = np.diag([1.0, -1.0])
+
+
+@pytest.mark.parametrize("bound", [trace_product_lower_bound, det_sum_lower_bound])
+@pytest.mark.parametrize(
+    "a, b, error, message",
+    [
+        (NEG_DIAG, np.eye(2), NotPSD, "A must be positive semi-definite"),
+        (np.eye(2), NEG_DIAG, NotPSD, "B must be positive semi-definite"),
+        (np.eye(3), np.eye(2), ShapeError, "B is 2x2, but must be 3x3"),
+        (np.eye(2), np.eye(3), ShapeError, "B is 3x3, but must be 2x2"),
+        (np.ones((2, 3)), np.eye(2), InvalidMatrix, "square"),
+        (np.eye(2), np.ones((2, 3)), InvalidMatrix, "square"),
+    ],
+    ids=["non-psd-a", "non-psd-b", "larger-a", "larger-b", "non-square-a", "non-square-b"],
+)
+def test_spectral_bounds_reject_bad_pairs(bound, a, b, error, message):
+    with pytest.raises(error, match=message):
+        bound(a, b)
 
 def test_waterfill_trace_single_mode():
     x, mu = waterfill_trace(np.array([2.0]), np.array([3.0]), 5.0)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,22 @@ def test_weighting_from_json_single_and_list():
     with pytest.raises(ConfigError):
         weighting_from_json({"W": w})
 
+
+
+@pytest.mark.parametrize(
+    "w, message",
+    [
+        ([[]], "instance.W[0]: expected a nonempty row list"),
+        ([[[]]], "instance.W[0][0]: expected an [re, im] pair"),
+        ([[[[]]]], "instance.W[0][0][0]: expected an [re, im] pair"),
+        ([[[[[]]]]], "instance.W[0][0][0]: expected an [re, im] pair"),
+    ],
+    ids=["empty-row", "matrix-with-empty-cell", "list-of-one-such-matrix", "deeper"],
+)
+def test_weight_list_is_told_from_a_matrix_by_nesting(w, message):
+    # four lists deep along the first entries is a list of matrices, fewer is one matrix
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        weighting_from_json({"W": w, "Pi": matrix_to_json(np.eye(1))})
 
 def test_relay_from_json():
     eye = matrix_to_json(np.eye(2))

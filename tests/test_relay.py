@@ -17,6 +17,7 @@ from matfield import (
     weighted_mse_of_precoder,
 )
 from matfield.baselines import random_search_oracle, relay_logdet_problem, relay_mse_problem
+from matfield.spectral import from_eigs
 
 import helpers
 
@@ -102,6 +103,33 @@ def test_forwarding_power_bijection():
         back = forwarding_to_precoder(m, pm)
         assert helpers.rel_err(back, f) < 1e-10
 
+
+
+def test_forwarding_maps_undo_each_other():
+    gen = helpers.rng(13)
+    for _ in range(25):
+        m = helpers.random_relay(gen, 3, 2, 3, 4.0)
+        f = helpers.crandn(gen, m.n_relay_tx, m.n_relay_rx)
+        assert helpers.rel_err(forwarding_to_precoder(m, precoder_to_forwarding(m, f)), f) < 1e-12
+        assert helpers.rel_err(precoder_to_forwarding(m, forwarding_to_precoder(m, f)), f) < 1e-12
+
+
+@pytest.mark.parametrize("design", [design_relay_sum_mse, design_relay_capacity])
+def test_relay_design_builds_one_root_of_c1(design, monkeypatch):
+    import matfield.relay
+    import matfield.spectral
+
+    sizes = []
+
+    def counting(u, w):
+        sizes.append(w.size)
+        return from_eigs(u, w)
+
+    for module in (matfield.relay, matfield.spectral):
+        monkeypatch.setattr(module, "from_eigs", counting)
+    m = helpers.random_relay(helpers.rng(14), 2, 3, 2, 4.0)
+    design(m)
+    assert sizes == [m.n_relay_rx]
 
 def test_chain_mse_zero_forwarding():
     m = helpers.random_relay(helpers.rng(4), 2, 2, 2, 4.0)

@@ -27,13 +27,13 @@ def test_raw_stream_matches_reference():
 
 def test_known_first_output_for_seed_zero():
     # widely quoted first output of SplitMix64 seeded with 0
-    assert SplitMix64(0).next_u64() == 0xE220A8397B1DCDAF
+    assert int(SplitMix64(0).bulk_u64(1)[0]) == 0xE220A8397B1DCDAF
 
 
 def test_bulk_equals_sequential():
     a = SplitMix64(123)
     b = SplitMix64(123)
-    assert [a.next_u64() for _ in range(10)] == [int(v) for v in b.bulk_u64(10)]
+    assert [int(a.bulk_u64(1)[0]) for _ in range(10)] == [int(v) for v in b.bulk_u64(10)]
 
 
 def test_state_advances_across_calls():
