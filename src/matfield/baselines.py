@@ -60,7 +60,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ShapeError
-from .mimo import SystemModel, channel_gram, lmmse_error, precoder_power
+from .mimo import SystemModel, lmmse_error, precoder_power
 from .relay import RelayModel, forwarding_power, relay_chain, relay_error, relay_trace
 from .rng import SplitMix64
 from .spectral import _ct, _inner, _left, _right
@@ -137,10 +137,9 @@ def _logdet(psi: np.ndarray) -> np.ndarray:
 def trace_problem(model: SystemModel, op: WeightingOperator) -> SearchProblem:
     """Tr Psi(F) = Tr(W_gram Phi) + Tr Pi as a batched function of the precoder F."""
     check_streams(op, model)
-    k_gram = channel_gram(model)
 
     def score(f):
-        kf, phi = lmmse_error(k_gram, f)
+        kf, phi = lmmse_error(model.k_gram, f)
         return op.psi_trace(phi), (kf, phi)
 
     def grad(kf, phi):
@@ -152,10 +151,9 @@ def trace_problem(model: SystemModel, op: WeightingOperator) -> SearchProblem:
 def logdet_problem(model: SystemModel, op: WeightingOperator) -> SearchProblem:
     """log det Psi(F) as a batched function of the precoder F."""
     check_streams(op, model)
-    k_gram = channel_gram(model)
 
     def score(f):
-        kf, phi = lmmse_error(k_gram, f)
+        kf, phi = lmmse_error(model.k_gram, f)
         psi = op.psi(phi)
         return _logdet(psi), (kf, phi, psi)
 

@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import NotPD, PreconditionError, ShapeError, Unsupported
 from .mimo import SystemModel, trusted
-from .spectral import as_covariance, as_matrix, eigs_are_pd, from_eigs, frozen, logdet_of
-from .spectral import ordered_evd, ordered_svd, pd_root_eigh, symmetrize
+from .spectral import as_covariance, as_matrix, eigs_are_pd, frozen, logdet_of, ordered_evd
+from .spectral import ordered_svd, symmetrize
 from .weighting import WeightingOperator, check_streams, weighted_mse_of_precoder
 
 # the log-det solve stops once sum x is within this many ulps of the budget
@@ -73,8 +73,7 @@ class PrecoderDesign:
 
 def whiten_channel(model: SystemModel) -> WhitenedChannel:
     """Ordered spectrum and right singular basis of R_n^{-1/2} H."""
-    u, root = pd_root_eigh(model.noise_cov, "noise covariance R_n")
-    svd = ordered_svd(from_eigs(u, 1.0 / root) @ model.channel)
+    svd = ordered_svd(model.whitened)
     return WhitenedChannel(eigenvalues=_padded(svd.s**2, model.n_tx), basis=svd.v)
 
 

@@ -47,7 +47,7 @@ from .instances import (
     system_from_json,
     weighting_from_json,
 )
-from .mimo import is_integer, is_real, lmmse_equalizer, mse_matrix, transmit_power
+from .mimo import as_float, is_integer, is_real, lmmse_equalizer, mse_matrix, transmit_power
 from .relay import (
     design_relay_capacity,
     design_relay_sum_mse,
@@ -111,7 +111,7 @@ def load_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     try:
         data = json.loads(text)
@@ -146,10 +146,9 @@ def build_config(data: dict, mode: Optional[str] = None, **overrides) -> Experim
     dims = check_dims(merged["dims"])
     if any(d > 64 for d in dims):
         raise ConfigError("dims: entries above 64 are not supported by the harness")
-    power = merged["power"]
-    if not is_real(power):
-        raise ConfigError(f"power: expected a number, got {power!r}")
-    power = float(power)
+    if not is_real(merged["power"]):
+        raise ConfigError(f"power: expected a number, got {merged['power']!r}")
+    power = as_float(merged["power"])
     if not 0.0 < power < np.inf:
         raise ConfigError(f"power: must be positive and finite, got {power!r}")
     for key, lo in (("trials", 1), ("budget", 1), ("refinements", 0), ("seed", None)):
@@ -164,7 +163,7 @@ def build_config(data: dict, mode: Optional[str] = None, **overrides) -> Experim
     for name, value in tol.items():
         if name not in DEFAULT_TOLERANCES:
             raise ConfigError(f"tolerances.{name}: unknown tolerance name")
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < np.inf:
+        if not is_real(value) or not 0 < as_float(value) < np.inf:
             raise ConfigError(f"tolerances.{name}: expected a positive finite number, got {value!r}")
     instance = merged.get("instance")
     if instance is not None and not isinstance(instance, dict):
@@ -177,7 +176,8 @@ def build_config(data: dict, mode: Optional[str] = None, **overrides) -> Experim
                 raise ConfigError(f"instance.{key}: demo-schur builds its own weighting and takes none")
     if not isinstance(merged["jitter_pi"], bool):
         raise ConfigError("jitter_pi: expected true or false")
-    return ExperimentConfig(**{**merged, "dims": dims, "power": power, "tolerances": dict(tol)})
+    tol = {name: float(value) for name, value in tol.items()}
+    return ExperimentConfig(**{**merged, "dims": dims, "power": power, "tolerances": tol})
 
 
 # ---------------------------------------------------------------------------

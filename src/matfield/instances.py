@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, InvalidMatrix, NotPD, NotPSD, ShapeError
-from .mimo import SystemModel, is_integer
+from .mimo import SystemModel, as_float, is_integer, is_real
 from .relay import RelayModel
 from .rng import SplitMix64
 from .spectral import hermitize, symmetrize
@@ -104,11 +104,10 @@ def matrix_from_json(obj, field: str) -> np.ndarray:
             if (
                 not isinstance(cell, (list, tuple))
                 or len(cell) != 2
-                # bool is an int subclass, but JSON true/false is no number
-                or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in cell)
+                or not all(is_real(x) for x in cell)
             ):
                 raise ConfigError(f"{field}[{i}][{j}]: expected an [re, im] pair")
-            vals.append(complex(float(cell[0]), float(cell[1])))
+            vals.append(complex(as_float(cell[0]), as_float(cell[1])))
         rows.append(vals)
     m = np.asarray(rows, dtype=np.complex128)
     if not np.all(np.isfinite(m)):

@@ -7,18 +7,20 @@ covariance of the estimate G(HFs + n) is
     Phi(G, F) = (GHF - I)(GHF - I)^H + G R_n G^H,
 
 and the MMSE-optimal equalizer minimizes Phi in the Loewner order; there
-Phi(F) = (F^H K F + I)^{-1} with K = H^H R_n^{-1} H (``lmmse_error``).
+Phi(F) = (F^H K F + I)^{-1} with K = H_w^H H_w, H_w = R_n^{-1/2} H (``lmmse_error``).
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidWeight, NumericalError, ShapeError
-from .spectral import _ct, _inner, _left, as_covariance, as_matrix, as_shaped, frozen, symmetrize
+from .spectral import _ct, _inner, _left, as_covariance, as_matrix, as_shaped, frozen, from_eigs
+from .spectral import pd_root_eigh, symmetrize
 
 
 def is_integer(value) -> bool:
@@ -31,6 +33,14 @@ def is_integer(value) -> bool:
 def is_real(value) -> bool:
     """True for a real number; False for a bool, a string or a complex number."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def as_float(value) -> float:
+    """float(value), or +-inf for an integer beyond the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return np.inf if value > 0 else -np.inf
 
 
 def trusted(cls, **fields):
@@ -60,7 +70,7 @@ class SystemModel:
         r = as_covariance(self.noise_cov, h.shape[0], "noise covariance R_n")[0]
         if not is_integer(self.n_streams) or self.n_streams < 1:
             raise ValueError(f"n_streams must be an integer of at least 1, got {self.n_streams!r}")
-        if not is_real(self.power) or not 0.0 < self.power < np.inf:
+        if not is_real(self.power) or not 0.0 < as_float(self.power) < np.inf:
             raise ValueError("power budget must be positive and finite")
         vars(self).update(channel=frozen(h.copy(order="K")), noise_cov=r,
                           n_streams=int(self.n_streams), power=float(self.power))
@@ -73,11 +83,16 @@ class SystemModel:
     def n_tx(self) -> int:
         return self.channel.shape[1]
 
+    @cached_property
+    def whitened(self) -> np.ndarray:
+        """H_w = R_n^{-1/2} H (cached, read-only); V_H and K both come from it."""
+        u, root = pd_root_eigh(self.noise_cov, "noise covariance R_n")
+        return frozen(from_eigs(u, 1.0 / root) @ self.channel)
 
-def channel_gram(model: SystemModel) -> np.ndarray:
-    """K = H^H R_n^{-1} H (n_tx x n_tx)."""
-    h = model.channel
-    return symmetrize(h.conj().T @ np.linalg.solve(model.noise_cov, h))
+    @cached_property
+    def k_gram(self) -> np.ndarray:
+        """K = H_w^H H_w = H^H R_n^{-1} H (n_tx x n_tx; cached, read-only)."""
+        return frozen(symmetrize(self.whitened.conj().T @ self.whitened))
 
 
 def precoder_power(f: np.ndarray) -> np.ndarray:
@@ -129,7 +144,7 @@ def mse_lmmse(model: SystemModel, precoder) -> np.ndarray:
     """
     f = _check_precoder(model, precoder)
     try:
-        return symmetrize(lmmse_error(channel_gram(model), f)[1])
+        return symmetrize(lmmse_error(model.k_gram, f)[1])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"MSE matrix solve failed: {exc}") from None
 

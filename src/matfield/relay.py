@@ -28,7 +28,7 @@ import numpy as np
 
 from .design import PrecoderDesign, design_det_min, design_trace_min
 from .errors import NumericalError
-from .mimo import SystemModel, is_real, trusted
+from .mimo import SystemModel, as_float, is_real, trusted
 from .spectral import Congruence, _ct, _inner, _left, _right, as_covariance, as_matrix
 from .spectral import as_shaped, from_eigs, frozen, logdet_of, pd_root_eigh, pd_roots, symmetrize
 from .weighting import WeightingOperator
@@ -64,7 +64,7 @@ class RelayModel:
         rs = as_covariance(self.source_cov, h1.shape[1], "source covariance R_s")[0]
         r1 = as_covariance(self.noise1_cov, h1.shape[0], "relay noise covariance R_n1")[0]
         r2 = as_covariance(self.noise2_cov, h2.shape[0], "destination noise covariance R_n2")[0]
-        if not is_real(self.power) or not 0.0 < self.power < np.inf:
+        if not is_real(self.power) or not 0.0 < as_float(self.power) < np.inf:
             raise ValueError("relay power budget must be positive and finite")
         # derived matrices of the chain kernels: C1 and the congruence
         # G -> S^H G S with S = H1 R_s (n_relay_rx x n_src), and its adjoint

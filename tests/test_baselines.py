@@ -5,7 +5,7 @@ import pytest
 
 from matfield import baselines, design_relay_sum_mse, design_trace_min, design_det_min
 from matfield.instances import generate_relay, generate_system, generate_weighting
-from matfield.mimo import channel_gram, lmmse_error, precoder_power, transmit_power
+from matfield.mimo import lmmse_error, precoder_power, transmit_power
 from matfield.relay import (
     forwarding_power,
     relay_chain,
@@ -403,7 +403,7 @@ def test_point_kernels_on_a_stack_match_its_members(case, k):
     model = helpers.random_system(gen, n_tx, n_rx, n_streams, 4.0)
     op = helpers.random_operator(gen, n_streams=n_streams, m=m, k=k)
     f = np.stack([helpers.crandn(gen, n_tx, n_streams) for _ in range(4)])
-    assert_stack_matches_members(lambda x: lmmse_error(channel_gram(model), x), f)
+    assert_stack_matches_members(lambda x: lmmse_error(model.k_gram, x), f)
     assert_stack_matches_members(precoder_power, f)
     phi = hermitian_stack(gen, n_streams)
     assert_stack_matches_members(op.psi, phi)

@@ -86,6 +86,7 @@ def _model_arrays():
     jittered = design_det_min(MODEL, singular, jitter_pi=True).offset
     return [
         ("channel", MODEL.channel), ("noise_cov", MODEL.noise_cov),
+        ("whitened", MODEL.whitened), ("k_gram", MODEL.k_gram),
         ("weights[0]", OP.weights[0]), ("offset", OP.offset), ("offset_eigs", OP.offset_eigs),
         ("stream_gram", OP.stream_gram),
         ("channel1", RELAY.channel1), ("channel2", RELAY.channel2), ("source_cov", RELAY.source_cov),
@@ -93,6 +94,7 @@ def _model_arrays():
         ("s_map", RELAY.s_congruence.factors[0]), ("q_gram", RELAY.q_gram),
         ("c1_inv_root", RELAY.c1_inv_root),
         ("relay channel", sysmodel.channel), ("relay noise_cov", sysmodel.noise_cov),
+        ("relay whitened", sysmodel.whitened), ("relay k_gram", sysmodel.k_gram),
         ("relay W", relay_op.weights[0]), ("relay Pi", relay_op.offset),
         ("relay Pi eigs", relay_op.offset_eigs), ("jittered Pi", jittered),
     ]

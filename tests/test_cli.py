@@ -90,6 +90,14 @@ def test_malformed_json_exits_two(tmp_path, capsys):
     assert "bad.json" in err
 
 
+def test_non_utf8_config_exits_two(tmp_path, capsys):
+    p = tmp_path / "latin1.json"
+    p.write_bytes('{"power": 4.0, "seed": "\xe9"}'.encode("latin-1"))
+    assert main(["design-trace", "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read config") and "latin1.json" in err
+
+
 def test_unknown_field_exits_two(tmp_path, capsys):
     cfg = write_config(tmp_path, {"wat": 1})
     assert main(["design-det", "--config", cfg]) == 2
@@ -108,6 +116,9 @@ def test_unknown_field_exits_two(tmp_path, capsys):
         ("power", True),
         # json.dumps writes Infinity, which Python's json reads back
         ("power", float("inf")),
+        # an integer literal too large for a float
+        pytest.param("power", 10**400, id="power-overflowing"),
+        pytest.param("power", -(10**400), id="power-negative-overflowing"),
     ],
 )
 def test_non_integral_or_boolean_number_exits_two(tmp_path, capsys, field, value):
@@ -170,6 +181,8 @@ RELAY = {"H1": ONE, "H2": ONE, "R_s": ONE, "R_n1": ONE, "R_n2": ONE}
         ("design-det", {**POINT, "n_streams": "two"}, "instance.n_streams"),
         ("design-trace", {**POINT, "W": EYE2, "Pi": EYE2}, "instance.W"),
         ("design-trace", {**POINT, "H": [[[float("nan"), 0.0]]]}, "instance.H"),
+        ("design-trace", {**POINT, "H": [[[10**400, 0.0]]]}, "instance.H"),
+        ("relay-mse", {**RELAY, "R_s": [[[1.0, -(10**400)]]]}, "instance.R_s"),
         ("relay-mse", {**RELAY, "R_n2": NEG}, "R_n2"),
         ("relay-capacity", {**RELAY, "R_s": EYE2}, "R_s"),
         ("verify-equivalence", {**RELAY, "R_n1": NEG}, "R_n1"),
@@ -198,6 +211,8 @@ RELAY = {"H1": ONE, "H2": ONE, "R_s": ONE, "R_n1": ONE, "R_n2": ONE}
         "string-streams",
         "weight-rows",
         "nan-channel",
+        "overflowing-channel",
+        "overflowing-relay-source",
         "relay-non-pd-destination-noise",
         "relay-source-shape",
         "equivalence-uses-instance",

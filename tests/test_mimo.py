@@ -183,7 +183,7 @@ def test_model_validates_scalars():
     with pytest.raises(Exception):
         SystemModel(channel=np.eye(2), noise_cov=np.eye(2), n_streams=2, power=0.0)
     # a real number that is not a bool: no numeric string or complex budget
-    for power in (float("inf"), float("nan"), True, "4", "inf", 4.0 + 0j):
+    for power in (float("inf"), float("nan"), True, "4", "inf", 4.0 + 0j, 10**400):
         with pytest.raises(ValueError, match="power budget"):
             SystemModel(channel=np.eye(2), noise_cov=np.eye(2), n_streams=2, power=power)
     for power in (4, np.float32(4.0), np.int64(4)):

@@ -273,7 +273,7 @@ def test_model_validation():
             noise2_cov=np.eye(2),
             power=1.0,
         )
-    for power in (0.0, float("inf"), float("nan"), True, "4", 4.0 + 0j):
+    for power in (0.0, float("inf"), float("nan"), True, "4", 4.0 + 0j, 10**400):
         with pytest.raises(ValueError, match="relay power budget"):
             scalar_chain(power=power)
     assert scalar_chain(power=np.int64(4)).power == 4.0
