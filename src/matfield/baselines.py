@@ -30,8 +30,9 @@ for the gradient g of f at X(Y).  It needs no M^-1 and no tangent
 projection, and it has no component along Y.  The method is L-BFGS (Liu and
 Nocedal 1989; Nocedal and Wright, Numerical Optimization, ch. 7) on the
 real vector of Y, batched over the starts: each start keeps its newest
-min(2 rows cols, `_MEMORY`) pairs and takes its direction from the compact
-form of Byrd, Nocedal and Schnabel (1994).  An iteration scores one
+min(2 rows cols, `_MEMORY`) pairs and its H0 scale in a memory, and every
+iteration derives each live start's direction from that memory by the
+compact form of Byrd, Nocedal and Schnabel (1994).  An iteration scores one
 candidate per start; a candidate that fails the Armijo condition halves
 that start's step for the next iteration, so there is no inner line search.
 First-order descent (Barzilai-Borwein steps along the projected gradient)
@@ -231,7 +232,7 @@ def _search_gradient(problem: SearchProblem, y: np.ndarray, power: np.ndarray, g
 
 
 class _Memory:
-    """The L-BFGS pairs of a stack of starts, the newest m of each, with R^-1.
+    """The L-BFGS pairs of a stack of starts, the newest m of each, with R^-1 and H0.
 
     ``pairs[k]`` holds start k's steps s in rows 0 .. m-1 and its gradient
     changes y in rows m .. 2m-1, filled round-robin: ``slot[k]`` is the next
@@ -239,31 +240,36 @@ class _Memory:
     the upper triangle of S Y^T in the pairs' age order and D its diagonal;
     ``r_inv`` keeps R^-1 and ``yy`` keeps Y Y^T, both in slot order.  An empty
     slot is a zero pair with a unit diagonal in R^-1, which the direction
-    ignores.
+    ignores.  ``gamma[k]`` is start k's H0 scale: the caller's initial value
+    until its first pair, then <s, y> / <y, y> of its newest pair.
     """
 
-    def __init__(self, pairs, r_inv, d, yy, slot):
-        self.pairs, self.r_inv, self.d, self.yy, self.slot = pairs, r_inv, d, yy, slot
+    def __init__(self, pairs, r_inv, d, yy, slot, gamma):
+        self.pairs, self.r_inv, self.d, self.yy, self.slot, self.gamma = pairs, r_inv, d, yy, slot, gamma
 
     @classmethod
-    def empty(cls, count: int, m: int, size: int) -> _Memory:
+    def empty(cls, count: int, m: int, size: int, gamma=1.0) -> _Memory:
         return cls(
             np.zeros((count, 2 * m, size)),
             np.tile(np.eye(m), (count, 1, 1)),
             np.zeros((count, m)),
             np.zeros((count, m, m)),
             np.zeros(count, dtype=np.intp),
+            np.full(count, gamma, dtype=np.float64),
         )
 
     def take(self, rows) -> _Memory:
-        return _Memory(self.pairs[rows], self.r_inv[rows], self.d[rows], self.yy[rows], self.slot[rows])
+        return _Memory(*(a[rows] for a in (self.pairs, self.r_inv, self.d, self.yy, self.slot, self.gamma)))
 
     def push(self, rows: np.ndarray, s: np.ndarray, y: np.ndarray, sy: np.ndarray) -> None:
-        """Write the pair (s, y) over the oldest pair of each of `rows`.
+        """Write the pair (s, y) over the oldest pair of each of `rows` and set H0 from it.
 
-        R^-1 is updated by blocks: the oldest pair leads R, so dropping its
-        row and column leaves the inverse of the rest, and the new pair's
-        column of R, (S y, s^T y), adds the column (-R^-1 S y, 1) / s^T y.
+        R^-1 is updated in place by blocks: the oldest pair leads R, so
+        dropping its row and column leaves the inverse of the rest, and the
+        new pair's column of R, (S y, s^T y), adds the column
+        (-R^-1 S y, 1) / s^T y; entry j of S y is zeroed to drop the oldest
+        pair's column, and row j, now the newest pair's, is 1 / s^T y on the
+        diagonal and zero elsewhere.
         """
         m = self.d.shape[1]
         j, at = self.slot[rows], np.arange(rows.size)
@@ -273,27 +279,28 @@ class _Memory:
         sy_yy = np.matvec(self.pairs[rows], y)
         self.yy[rows, j] = sy_yy[:, m:]
         self.yy[rows, :, j] = sy_yy[:, m:]
-        r = self.r_inv[rows]
-        r[at, j] = 0.0
-        r[at, :, j] = 0.0
-        col = np.matvec(r, sy_yy[:, :m]) / -sy[:, None]
+        sy_yy[at, j] = 0.0
+        col = np.matvec(self.r_inv[rows], sy_yy[:, :m]) / -sy[:, None]
         col[at, j] = 1.0 / sy
-        r[at, :, j] = col
-        self.r_inv[rows] = r
+        self.r_inv[rows, j] = 0.0
+        self.r_inv[rows, :, j] = col
         self.slot[rows] = (j + 1) % m
+        self.gamma[rows] = sy / np.vecdot(y, y)
 
-    def direction(self, g: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    def direction(self, g: np.ndarray) -> np.ndarray:
         """-H g for each row's L-BFGS inverse Hessian with H0 = gamma I.
 
         The compact form of Byrd, Nocedal and Schnabel (1994):
         H g = gamma g + S^T R^-T ((D + gamma Y Y^T) w - gamma Y g)
-        - gamma Y^T w for w = R^-1 S g.
+        - gamma Y^T w for w = R^-1 S g, which is gamma g with no pairs.  A
+        row's result depends on that row alone, to the bit.
         """
         m = self.d.shape[1]
+        gamma = self.gamma[:, None]
         sg_yg = np.matvec(self.pairs, g)
         w = np.matvec(self.r_inv, sg_yg[:, :m])
-        u = np.vecmat(self.d * w + gamma[:, None] * (np.matvec(self.yy, w) - sg_yg[:, m:]), self.r_inv)
-        return np.vecmat(np.concatenate([-u, gamma[:, None] * w], axis=1), self.pairs) - gamma[:, None] * g
+        u = np.vecmat(self.d * w + gamma * (np.matvec(self.yy, w) - sg_yg[:, m:]), self.r_inv)
+        return np.vecmat(np.concatenate([-u, gamma * w], axis=1), self.pairs) - gamma * g
 
 
 def projected_gradient_descent(
@@ -308,12 +315,13 @@ def projected_gradient_descent(
     if and only if it satisfies the Armijo condition f <= f(Y) + `_ARMIJO`
     t f'(Y; d), with f'(Y; d) = 2 Re<G, d> for the gradient G in Y, strictly
     lowers the objective and moves (<s, s> > 0 for the move s; a zero move
-    can read lower only through batch rounding).  A rejected candidate
-    halves t.  An accepted one resets t to 1, stores its pair (s, y), y the
-    change in G, when the curvature <s, y> is positive, and takes the
-    direction of its updated memory: the newest min(2 rows cols, `_MEMORY`)
-    pairs with H0 = (<s, y> / <y, y>) I for the newest pair.  The first
-    direction is -G, scaled to move a quarter of the radius.  A
+    can read lower only through batch rounding).  Each iteration derives d
+    for every live start from its memory: the newest min(2 rows cols,
+    `_MEMORY`) pairs with H0 = gamma I, gamma = <s, y> / <y, y> of the newest
+    pair, or before the first pair the gamma at which -gamma G moves a
+    quarter of the radius.  A rejected candidate halves t and keeps the
+    memory and G, hence d.  An accepted one resets t to 1 and stores its pair
+    (s, y), y the change in G, when the curvature <s, y> is positive.  A
     start freezes at a checkpoint (every `_SETTLE_EVERY` iterations) once its
     value fell by at most `_SETTLE_TOL` max(1, |f|) since the checkpoint
     before the last one, and `max_iter` caps the iterations.  Each iteration
@@ -329,12 +337,9 @@ def projected_gradient_descent(
     grad = _flat(_search_gradient(problem, x, power, problem.gradient(x, state)))
     y = _flat(x).copy()
     size = y.shape[1]
-    memory = _Memory.empty(count, min(size, _MEMORY), size)
-    gnorm = np.sqrt(np.vecdot(grad, grad))
-    ynorm = np.sqrt(np.vecdot(y, y))
-    gamma = 0.25 * np.maximum(ynorm, np.sqrt(problem.power)) / np.maximum(gnorm, 1e-12)
-    d = -gamma[:, None] * grad
-    slope = 2.0 * np.vecdot(grad, d)
+    radius = np.maximum(np.sqrt(np.vecdot(y, y)), np.sqrt(problem.power))
+    gamma = 0.25 * radius / np.maximum(np.sqrt(np.vecdot(grad, grad)), 1e-12)
+    memory = _Memory.empty(count, min(size, _MEMORY), size, gamma)
     t = np.ones(count)
     live = np.arange(count)
     # values at the last two checkpoints; no start is judged before the second
@@ -342,6 +347,8 @@ def projected_gradient_descent(
     for it in range(1, max_iter + 1):
         if live.size == 0:
             break
+        d = memory.direction(grad)
+        slope = 2.0 * np.vecdot(grad, d)
         yc = y + t[:, None] * d
         cand = yc.view(np.complex128).reshape(-1, rows, cols)
         pc = np.maximum(problem.power_of(cand), _POWER_FLOOR)
@@ -356,22 +363,16 @@ def projected_gradient_descent(
                 problem, cand[acc], pc[acc], problem.gradient(xc[acc], tuple(a[acc] for a in state))
             ))
             s, dg = s[acc], g_new - grad[acc]
-            sy, yy = np.vecdot(s, dg), np.vecdot(dg, dg)
+            sy = np.vecdot(s, dg)
             curved = sy > 0.0
-            pair = acc[curved]
-            memory.push(pair, s[curved], dg[curved], sy[curved])
-            gamma[pair] = sy[curved] / yy[curved]
+            memory.push(acc[curved], s[curved], dg[curved], sy[curved])
             y[acc], x[acc], f[acc], grad[acc], t[acc] = yc[acc], xc[acc], fc[acc], g_new, 1.0
-            d[acc] = memory.take(acc).direction(g_new, gamma[acc])
-            slope[acc] = 2.0 * np.vecdot(g_new, d[acc])
         if it % _SETTLE_EVERY == 0:
             keep = older - f > _SETTLE_TOL * np.maximum(1.0, np.abs(f))
             if not keep.all():
                 gone = ~keep
                 values[live[gone]], points[live[gone]] = f[gone], x[gone]
-                live, y, x, f, grad, d, slope, t, gamma, newer = (
-                    a[keep] for a in (live, y, x, f, grad, d, slope, t, gamma, newer)
-                )
+                live, y, x, f, grad, t, newer = (a[keep] for a in (live, y, x, f, grad, t, newer))
                 memory = memory.take(keep)
             older, newer = newer, f.copy()
     values[live], points[live] = f, x

@@ -119,6 +119,8 @@ def load_config_file(path: str) -> dict:
         raise ConfigError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})"
         ) from None
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return data
@@ -157,6 +159,8 @@ def build_config(data: dict, mode: Optional[str] = None, **overrides) -> Experim
         merged[key] = int(merged[key])
         if lo is not None and merged[key] < lo:
             raise ConfigError(f"{key}: must be >= {lo}")
+    if merged["budget"] > 10**6:
+        raise ConfigError("budget: oracle samples above 1000000 are not supported by the harness")
     tol = merged.get("tolerances", {})
     if not isinstance(tol, dict):
         raise ConfigError("tolerances: expected an object of name -> value")

@@ -23,7 +23,7 @@ from .errors import ConfigError, InvalidMatrix, NotPD, NotPSD, ShapeError
 from .mimo import SystemModel, as_float, is_integer, is_real
 from .relay import RelayModel
 from .rng import SplitMix64
-from .spectral import hermitize, symmetrize
+from .spectral import symmetrize
 from .weighting import WeightingOperator
 
 # minimum eigenvalue of every generated covariance
@@ -115,20 +115,12 @@ def matrix_from_json(obj, field: str) -> np.ndarray:
     return m
 
 
-def _hermitian_from_json(obj, key: str) -> np.ndarray:
-    """Square Hermitian matrix field `key` of an instance object."""
-    try:
-        return hermitize(matrix_from_json(obj[key], f"instance.{key}"))
-    except InvalidMatrix as exc:
-        raise ConfigError(f"instance.{key}: {exc}") from None
-
-
 def _model_from_json(make, **fields):
     """Build a model from parsed instance fields; a model the fields cannot
     make is a configuration error, and the model's message names the field."""
     try:
         return make(**fields)
-    except (ShapeError, NotPD, NotPSD) as exc:
+    except (InvalidMatrix, ShapeError, NotPD, NotPSD) as exc:
         raise ConfigError(f"instance: {exc}") from None
 
 
@@ -150,7 +142,7 @@ def system_from_json(obj, power: float) -> SystemModel:
     the point instance may also carry the weighting's W and Pi."""
     _instance_fields(obj, ("H", "R_n"), ("n_streams", "W", "Pi"))
     h = matrix_from_json(obj["H"], "instance.H")
-    r_n = _hermitian_from_json(obj, "R_n")
+    r_n = matrix_from_json(obj["R_n"], "instance.R_n")
     streams = obj.get("n_streams")
     if streams is None:
         streams = h.shape[1]
@@ -174,7 +166,7 @@ def weighting_from_json(obj) -> WeightingOperator:
         weights = tuple(matrix_from_json(wk, f"instance.W[{i}]") for i, wk in enumerate(w_obj))
     else:
         weights = (matrix_from_json(w_obj, "instance.W"),)
-    pi = _hermitian_from_json(obj, "Pi")
+    pi = matrix_from_json(obj["Pi"], "instance.Pi")
     return _model_from_json(WeightingOperator, weights=weights, offset=pi)
 
 
@@ -182,10 +174,6 @@ def relay_from_json(obj, power: float) -> RelayModel:
     """Build a RelayModel from config fields H1, H2, R_s, R_n1, R_n2."""
     keys = ("H1", "H2", "R_s", "R_n1", "R_n2")
     _instance_fields(obj, keys)
-    h1, h2, r_s, r_n1, r_n2 = (
-        matrix_from_json(obj[key], f"instance.{key}") if key.startswith("H")
-        else _hermitian_from_json(obj, key)
-        for key in keys
-    )
+    h1, h2, r_s, r_n1, r_n2 = (matrix_from_json(obj[key], f"instance.{key}") for key in keys)
     return _model_from_json(RelayModel, channel1=h1, channel2=h2, source_cov=r_s,
                             noise1_cov=r_n1, noise2_cov=r_n2, power=power)

@@ -99,8 +99,12 @@ def frozen(a: np.ndarray) -> np.ndarray:
 
 def as_covariance(a, n: int, name: str, definite: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (hermitize(a), its eigenvalues), checked to be n x n and positive definite
-    (semi-definite unless definite); the ShapeError, NotPD or NotPSD names the matrix."""
-    h = hermitize(a)
+    (semi-definite unless definite); the InvalidMatrix, ShapeError, NotPD or NotPSD names
+    the matrix."""
+    try:
+        h = hermitize(a)
+    except InvalidMatrix as exc:
+        raise InvalidMatrix(f"{name}: {exc}") from None
     if h.shape[0] != n:
         raise ShapeError(f"{name} is {h.shape[0]}x{h.shape[0]}, but must be {n}x{n}")
     w = np.linalg.eigvalsh(h)

@@ -324,10 +324,33 @@ def test_compact_direction_matches_two_loop_recursion():
             pairs[k] = (pairs[k] + [(s[i], y[i])])[-mem:]
         g = gen.standard_normal((count, size))
         gamma = gen.uniform(0.5, 2.0, count)
-        got = memory.direction(g, gamma)
+        memory.gamma = gamma
+        got = memory.direction(g)
         for k in range(count):
             want = helpers.lbfgs_two_loop_reference(g[k], gamma[k], pairs[k])
             assert helpers.rel_err(got[k], want) < 1e-10, n_pairs
+
+
+def test_direction_of_a_row_subset_is_the_full_stacks_bitwise():
+    # projected_gradient_descent recomputes every live row's direction each
+    # iteration, so a row's direction must not depend on the rows beside it
+    gen = helpers.rng(29)
+    size, count = 8, 7
+    mem = min(size, baselines._MEMORY)
+    memory = baselines._Memory.empty(count, mem, size, gen.uniform(0.5, 2.0, count))
+    a = gen.standard_normal((count, size, size))
+    hessians = a @ a.transpose(0, 2, 1) + np.eye(size)
+    for n_pairs in range(2 * mem + 3):
+        # starts skip pairs at different rates, so their slots drift apart
+        rows = np.array([k for k in range(count) if n_pairs % (k % 3 + 1) == 0])
+        s = gen.standard_normal((rows.size, size))
+        y = np.einsum("kij,kj->ki", hessians[rows], s)
+        memory.push(rows, s, y, np.vecdot(s, y))
+        g = gen.standard_normal((count, size))
+        full = memory.direction(g)
+        for subset in (np.array([n_pairs % count]), np.array([0, 3, 6]), np.arange(1, count, 2)):
+            assert np.array_equal(memory.take(subset).direction(g[subset]), full[subset]), n_pairs
+    assert len(set(memory.slot)) > 1
 
 
 def test_gradient_from_objective_state_is_exact():

@@ -83,11 +83,13 @@ def test_unwritable_output_exits_two(tmp_path, capsys, flag):
 
 
 def test_malformed_json_exits_two(tmp_path, capsys):
-    p = tmp_path / "bad.json"
-    p.write_text("{")
-    assert main(["design-trace", "--config", str(p)]) == 2
-    err = capsys.readouterr().err
-    assert "bad.json" in err
+    # the second text is an integer literal past Python's 4,300-digit limit
+    for text in ("{", '{"power": 1' + "0" * 5000 + "}"):
+        p = tmp_path / "bad.json"
+        p.write_text(text)
+        assert main(["design-trace", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "bad.json" in err
 
 
 def test_non_utf8_config_exits_two(tmp_path, capsys):
@@ -119,6 +121,9 @@ def test_unknown_field_exits_two(tmp_path, capsys):
         # an integer literal too large for a float
         pytest.param("power", 10**400, id="power-overflowing"),
         pytest.param("power", -(10**400), id="power-negative-overflowing"),
+        # the budget cap, 10**6 oracle samples
+        pytest.param("budget", 10**400, id="budget-huge"),
+        pytest.param("budget", 10**6 + 1, id="budget-over-cap"),
     ],
 )
 def test_non_integral_or_boolean_number_exits_two(tmp_path, capsys, field, value):
@@ -174,7 +179,7 @@ RELAY = {"H1": ONE, "H2": ONE, "R_s": ONE, "R_n1": ONE, "R_n2": ONE}
     [
         ("design-trace", {**POINT, "R_n": NEG}, "R_n"),
         ("design-trace", {**POINT, "R_n": EYE2}, "R_n"),
-        ("design-det", {**POINT, "R_n": [[[1.0, 0.0], [2.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}, "instance.R_n"),
+        ("design-det", {**POINT, "R_n": [[[1.0, 0.0], [2.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}, "R_n: matrix is not Hermitian"),
         ("design-trace", {**POINT, "Pi": NEG}, "Pi"),
         ("design-det", {**POINT, "Pi": EYE2}, "Pi"),
         ("design-trace", {**POINT, "n_streams": 0}, "instance.n_streams"),

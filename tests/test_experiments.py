@@ -30,6 +30,15 @@ def test_build_config_overrides_win():
     assert cfg.seed == 9 and cfg.trials == 5
 
 
+def test_build_config_caps_the_budget():
+    assert build_config({"budget": 10**6}, mode="design-trace").budget == 10**6
+    for budget in (10**6 + 1, 10**400):
+        with pytest.raises(ConfigError, match="^budget:"):
+            build_config({"budget": budget}, mode="design-trace")
+    with pytest.raises(ConfigError, match="^budget:"):
+        build_config({}, mode="design-trace", budget=10**6 + 1)
+
+
 def test_build_config_rejects_bad_input():
     with pytest.raises(ConfigError, match="unknown config field"):
         build_config({"bogus": 1}, mode="design-trace")

@@ -183,3 +183,31 @@ def test_relay_from_json():
     assert r.power == 2.0
     with pytest.raises(ConfigError, match="R_n2"):
         relay_from_json({k: v for k, v in obj.items() if k != "R_n2"}, 2.0)
+
+
+def test_reading_an_instance_hermitizes_each_covariance_once(monkeypatch):
+    import matfield
+
+    model = generate_system(3, DIMS, 4.0)
+    op = generate_weighting(4, DIMS)
+    relay = generate_relay(5, DIMS, 4.0)
+    point = {"H": model.channel, "R_n": model.noise_cov, "W": op.weights[0], "Pi": op.offset}
+    relay_obj = {"H1": relay.channel1, "H2": relay.channel2, "R_s": relay.source_cov,
+                 "R_n1": relay.noise1_cov, "R_n2": relay.noise2_cov}
+    point, relay_obj = ({k: matrix_to_json(v) for k, v in d.items()} for d in (point, relay_obj))
+    calls = []
+    real = matfield.spectral.hermitize
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return real(a)
+
+    # patch every module that binds the name, so a reader's own call would count too
+    for module in (matfield.spectral, matfield.instances, matfield.mimo, matfield.weighting, matfield.relay):
+        if hasattr(module, "hermitize"):
+            monkeypatch.setattr(module, "hermitize", counting)
+    system_from_json(point, 4.0)
+    weighting_from_json(point)
+    assert len(calls) == 2
+    relay_from_json(relay_obj, 4.0)
+    assert len(calls) == 5
