@@ -64,7 +64,7 @@ from .errors import ShapeError
 from .mimo import SystemModel, lmmse_error, precoder_power
 from .relay import RelayModel, forwarding_power, relay_chain, relay_error, relay_trace
 from .rng import SplitMix64
-from .spectral import _ct, _inner, _left, _right
+from .spectral import _ct, _inner, _left, _mul, _right
 from .weighting import WeightingOperator, check_streams
 
 _POWER_FLOOR = 1e-300
@@ -144,7 +144,7 @@ def trace_problem(model: SystemModel, op: WeightingOperator) -> SearchProblem:
         return op.psi_trace(phi), (kf, phi)
 
     def grad(kf, phi):
-        return -(_right(kf @ phi, op.stream_gram) @ phi)
+        return -_mul(_right(_mul(kf, phi), op.stream_gram), phi)
 
     return _search_problem((model.n_tx, model.n_streams), model.power, precoder_power, score, grad)
 
@@ -160,7 +160,7 @@ def logdet_problem(model: SystemModel, op: WeightingOperator) -> SearchProblem:
 
     def grad(kf, phi, psi):
         # sum_k W_k Psi^{-1} W_k^H
-        return -(kf @ phi @ op.adjoint(np.linalg.inv(psi)) @ phi)
+        return -_mul(_mul(_mul(kf, phi), op.adjoint(np.linalg.inv(psi))), phi)
 
     return _search_problem((model.n_tx, model.n_streams), model.power, precoder_power, score, grad)
 
@@ -171,7 +171,7 @@ def _relay_gradient(model: RelayModel, zm: np.ndarray, g: np.ndarray):
     ZM = Z M for the objective's middle factor M (Q for the sum-MSE,
     S Psi^{-1} S^H for log-det) and G = T^H Z.
     """
-    return _left(np.conj(model.channel2.T), _right(zm @ g, model.c1) - zm)
+    return _left(np.conj(model.channel2.T), _right(_mul(zm, g), model.c1) - zm)
 
 
 def _relay_problem(model: RelayModel, score, grad) -> SearchProblem:
@@ -189,7 +189,7 @@ def relay_mse_problem(model: RelayModel) -> SearchProblem:
         return relay_trace(model, t, z), (t, z)
 
     def grad(t, z):
-        return _relay_gradient(model, _right(z, model.q_gram), _ct(t) @ z)
+        return _relay_gradient(model, _right(z, model.q_gram), _mul(_ct(t), z))
 
     return _relay_problem(model, score, grad)
 
@@ -204,7 +204,7 @@ def relay_logdet_problem(model: RelayModel) -> SearchProblem:
 
     def grad(z, g, psi):
         # S Psi^{-1} S^H
-        return _relay_gradient(model, z @ model.s_congruence.adjoint(np.linalg.inv(psi)), g)
+        return _relay_gradient(model, _mul(z, model.s_congruence.adjoint(np.linalg.inv(psi))), g)
 
     return _relay_problem(model, score, grad)
 
@@ -356,7 +356,7 @@ def projected_gradient_descent(
         fc, state = problem.objective(xc, with_state=True)
         s = yc - y
         ok = (fc <= f + _ARMIJO * t * slope) & (fc < f) & (np.vecdot(s, s) > 0.0)
-        t[~ok] *= 0.5
+        t = np.where(ok, 1.0, 0.5 * t)
         acc = np.flatnonzero(ok)
         if acc.size:
             g_new = _flat(_search_gradient(
@@ -365,8 +365,11 @@ def projected_gradient_descent(
             s, dg = s[acc], g_new - grad[acc]
             sy = np.vecdot(s, dg)
             curved = sy > 0.0
-            memory.push(acc[curved], s[curved], dg[curved], sy[curved])
-            y[acc], x[acc], f[acc], grad[acc], t[acc] = yc[acc], xc[acc], fc[acc], g_new, 1.0
+            if curved.all():
+                memory.push(acc, s, dg, sy)
+            else:
+                memory.push(acc[curved], s[curved], dg[curved], sy[curved])
+            y[acc], x[acc], f[acc], grad[acc] = yc[acc], xc[acc], fc[acc], g_new
         if it % _SETTLE_EVERY == 0:
             keep = older - f > _SETTLE_TOL * np.maximum(1.0, np.abs(f))
             if not keep.all():

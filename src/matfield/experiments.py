@@ -153,14 +153,17 @@ def build_config(data: dict, mode: Optional[str] = None, **overrides) -> Experim
     power = as_float(merged["power"])
     if not 0.0 < power < np.inf:
         raise ConfigError(f"power: must be positive and finite, got {power!r}")
-    for key, lo in (("trials", 1), ("budget", 1), ("refinements", 0), ("seed", None)):
+    # trials and oracle samples per trial stop at 10**6, 50000 and 500 times
+    # the defaults, so a mistyped count exits at once instead of running on
+    for key, lo, hi in (("trials", 1, 10**6), ("budget", 1, 10**6), ("refinements", 0, None),
+                        ("seed", None, None)):
         if not is_integer(merged[key]):
             raise ConfigError(f"{key}: expected an integer, got {merged[key]!r}")
         merged[key] = int(merged[key])
         if lo is not None and merged[key] < lo:
             raise ConfigError(f"{key}: must be >= {lo}")
-    if merged["budget"] > 10**6:
-        raise ConfigError("budget: oracle samples above 1000000 are not supported by the harness")
+        if hi is not None and merged[key] > hi:
+            raise ConfigError(f"{key}: values above {hi} are not supported by the harness")
     tol = merged.get("tolerances", {})
     if not isinstance(tol, dict):
         raise ConfigError("tolerances: expected an object of name -> value")

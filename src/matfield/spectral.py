@@ -253,9 +253,12 @@ def loewner_leq(a, b, tol: float = 1e-8) -> bool:
 # ---------------------------------------------------------------------------
 # stack kernels: one matrix or a (batch, rows, cols) stack.  A product with a
 # fixed matrix is one GEMM over the stack reshaped to (batch * rows, cols);
-# only products of two stack members and inverses go member by member.  numpy
-# multiplies a one-row operand through gemv or dot instead of gemm, so a
-# member computed alone may differ in the last bits from one in a stack.
+# numpy multiplies a one-row operand through gemv or dot instead of gemm, so
+# a member computed alone may differ in the last bits from one in a stack.
+# A product of two stack members (`_mul`) is one broadcast matvec gufunc
+# while the product is small, else numpy's matmul, which makes one GEMM call
+# per member; either way a member's bits do not depend on its stack.  Only
+# inverses and solves go through LAPACK member by member.
 
 
 def _right(x: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -268,6 +271,35 @@ def _left(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     if x.ndim == 2:
         return a @ x
     return _right(x.swapaxes(1, 2), a.T).swapaxes(1, 2)
+
+
+# A B of two stacks as a matvec over B's transposed columns costs one gufunc
+# step per member row; numpy's matmul makes one GEMM call per member.  Time
+# per product (us; 2 cores, numpy 2.4.6, OpenBLAS 0.3.31, complex):
+#
+#   members x (rows x k)(k x cols)   matmul  matvec
+#   100 x (2x2)(2x2)                   34      13
+#   100 x (3x3)(3x3)                   31      14
+#   100 x (4x4)(4x4)                   31      21
+#   100 x (4x16)(16x16)                59      54
+#   100 x (6x2)(2x2)                   31      23
+#   100 x (6x6)(6x6)                   36      42
+#   100 x (8x8)(8x8)                   47      56
+#   2000 x (2x2)(2x2)                 568     160
+#   20 x (64x64)(64x64)               824    3098
+#   100 x (4x1)(1x4)                  5.9     8.8
+#   100 x (4x4)(4x1)                  6.0    13.3
+#
+# The matvec wins up to 4 rows whatever k and cols, and loses at 6x6 and
+# 8x8.  With a dimension of 1, matmul wins.
+_MATVEC_ROWS = 4
+
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A B for one pair of matrices (exactly a @ b) or each pair of stack members."""
+    if a.ndim == 2 or not 1 < a.shape[-2] <= _MATVEC_ROWS or 1 in b.shape[-2:]:
+        return a @ b
+    return np.matvec(b.swapaxes(-1, -2)[..., None, :, :], a)
 
 
 def _ct(x: np.ndarray) -> np.ndarray:

@@ -124,12 +124,20 @@ def test_unknown_field_exits_two(tmp_path, capsys):
         # the budget cap, 10**6 oracle samples
         pytest.param("budget", 10**400, id="budget-huge"),
         pytest.param("budget", 10**6 + 1, id="budget-over-cap"),
+        # the trials cap, 10**6 trials
+        pytest.param("trials", 10**400, id="trials-huge"),
+        pytest.param("trials", 10**6 + 1, id="trials-over-cap"),
     ],
 )
 def test_non_integral_or_boolean_number_exits_two(tmp_path, capsys, field, value):
     cfg = write_config(tmp_path, {"trials": 1, "budget": 10, "refinements": 1, field: value})
     assert main(["design-trace", "--config", cfg]) == 2
     assert f"config error: {field}:" in capsys.readouterr().err
+
+
+def test_trials_flag_over_the_cap_exits_two(capsys):
+    assert main(["design-trace", "--trials", str(10**6 + 1)]) == 2
+    assert "config error: trials:" in capsys.readouterr().err
 
 
 def test_numerical_error_exits_three(tmp_path, capsys):

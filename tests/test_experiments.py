@@ -39,6 +39,15 @@ def test_build_config_caps_the_budget():
         build_config({}, mode="design-trace", budget=10**6 + 1)
 
 
+def test_build_config_caps_the_trials():
+    assert build_config({"trials": 10**6}, mode="design-trace").trials == 10**6
+    for trials in (10**6 + 1, 10**400):
+        with pytest.raises(ConfigError, match="^trials:"):
+            build_config({"trials": trials}, mode="design-trace")
+        with pytest.raises(ConfigError, match="^trials:"):
+            build_config({}, mode="design-trace", trials=trials)
+
+
 def test_build_config_rejects_bad_input():
     with pytest.raises(ConfigError, match="unknown config field"):
         build_config({"bogus": 1}, mode="design-trace")
@@ -126,12 +135,12 @@ def test_reports_are_deterministic_modulo_walltime(mode):
 # oracle's sampling, its refinement or the order of its arithmetic shows
 # here; a different BLAS build may also move the last digits.
 GOLDEN_ORACLE = {
-    "design-trace": [(4.8170404117042365, -8.881784197001252e-16)],
+    "design-trace": [(4.817040411704237, 0.0)],
     "design-det": [(1.4147404404640478, -6.661338147750939e-16)],
     "relay-mse": [(1.8695457776252287, -1.5543122344752192e-15)],
-    "relay-capacity": [(1.43846512673127, -4.440892098500626e-16)],
+    "relay-capacity": [(1.4384651267312698, -2.220446049250313e-16)],
     "oracle-compare": [
-        (4.8170404117042365, -8.881784197001252e-16),
+        (4.817040411704237, 0.0),
         (1.4147404404640478, -6.661338147750939e-16),
     ],
 }

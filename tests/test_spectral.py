@@ -238,3 +238,62 @@ def test_hermitize_validates():
 def test_symmetrize_no_check():
     out = symmetrize(np.array([[0.0, 2.0], [0.0, 0.0]]))
     assert np.allclose(out, [[0.0, 1.0], [1.0, 0.0]])
+
+
+def _stack(gen, count, rows, cols):
+    return np.stack([helpers.crandn(gen, rows, cols) for _ in range(count)])
+
+
+# (rows, inner, cols) of stack products on both sides of _MATVEC_ROWS, the
+# most rows that go through the broadcast matvec, and a 1x1 that matmul keeps
+MUL_SHAPES = [(1, 1, 1), (2, 2, 2), (2, 3, 4), (4, 4, 4), (8, 8, 8), (16, 16, 16)]
+
+
+def test_mul_shapes_cover_both_methods():
+    rows = [r for r, _, _ in MUL_SHAPES]
+    assert min(rows) < 2 <= spectral._MATVEC_ROWS < max(rows)
+
+
+@pytest.mark.parametrize("rows, inner, cols", MUL_SHAPES)
+@pytest.mark.parametrize("count", [1, 9])
+def test_stack_product_matches_matmul(rows, inner, cols, count):
+    gen = helpers.rng(100 * rows + 10 * inner + cols)
+    a, b = _stack(gen, count, rows, inner), _stack(gen, count, inner, cols)
+    want = a @ b
+    got = spectral._mul(a, b)
+    assert got.shape == want.shape
+    err = np.linalg.norm(got - want, axis=(1, 2))
+    assert np.all(err <= 1e-14 * np.linalg.norm(want, axis=(1, 2)))
+
+
+@pytest.mark.parametrize("rows, inner", [(2, 3), (4, 2), (8, 8)])
+def test_stack_product_of_conjugate_transposed_views(rows, inner):
+    # _ct returns a strided view, the operand form of Phi's F^H K F and
+    # the relay's T^H Z and T C1 T^H
+    gen = helpers.rng(rows + inner)
+    f, k = _stack(gen, 5, inner, rows), _stack(gen, 5, inner, rows)
+    a = spectral._ct(f)
+    assert not a.flags.c_contiguous
+    for got, want in ((spectral._mul(a, k), a @ k), (spectral._mul(k, a), k @ a)):
+        err = np.linalg.norm(got - want, axis=(1, 2))
+        assert np.all(err <= 1e-14 * np.linalg.norm(want, axis=(1, 2)))
+
+
+@pytest.mark.parametrize("rows, inner, cols", MUL_SHAPES)
+def test_product_of_two_matrices_is_matmul_bitwise(rows, inner, cols):
+    gen = helpers.rng(rows + inner + cols)
+    a, b = helpers.crandn(gen, rows, inner), helpers.crandn(gen, inner, cols)
+    assert spectral._mul(a, b).tobytes() == (a @ b).tobytes()
+
+
+@pytest.mark.parametrize("rows, inner, cols", MUL_SHAPES)
+def test_stack_product_member_bits_do_not_depend_on_the_stack(rows, inner, cols):
+    # the refinement scores and differentiates sub-stacks of its starts, and
+    # its masked reference must reproduce every row bit for bit
+    gen = helpers.rng(7 * rows + inner + cols)
+    a, b = _stack(gen, 9, rows, inner), _stack(gen, 9, inner, cols)
+    whole = spectral._mul(a, b)
+    for k in range(9):
+        assert np.array_equal(spectral._mul(a[k : k + 1], b[k : k + 1])[0], whole[k])
+    mask = np.arange(9) % 3 != 1
+    assert np.array_equal(spectral._mul(a[mask], b[mask]), whole[mask])
