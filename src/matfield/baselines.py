@@ -365,10 +365,7 @@ def projected_gradient_descent(
             s, dg = s[acc], g_new - grad[acc]
             sy = np.vecdot(s, dg)
             curved = sy > 0.0
-            if curved.all():
-                memory.push(acc, s, dg, sy)
-            else:
-                memory.push(acc[curved], s[curved], dg[curved], sy[curved])
+            memory.push(acc[curved], s[curved], dg[curved], sy[curved])
             y[acc], x[acc], f[acc], grad[acc] = yc[acc], xc[acc], fc[acc], g_new
         if it % _SETTLE_EVERY == 0:
             keep = older - f > _SETTLE_TOL * np.maximum(1.0, np.abs(f))

@@ -275,24 +275,19 @@ def _left(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 # A B of two stacks as a matvec over B's transposed columns costs one gufunc
 # step per member row; numpy's matmul makes one GEMM call per member.  Time
-# per product (us; 2 cores, numpy 2.4.6, OpenBLAS 0.3.31, complex):
+# of matmul over time of matvec, complex stacks of 20 and 100 members, k and
+# cols each 2, 4, 16 and 64 (2 cores, numpy 2.4.6, OpenBLAS 0.3.31):
 #
-#   members x (rows x k)(k x cols)   matmul  matvec
-#   100 x (2x2)(2x2)                   34      13
-#   100 x (3x3)(3x3)                   31      14
-#   100 x (4x4)(4x4)                   31      21
-#   100 x (4x16)(16x16)                59      54
-#   100 x (6x2)(2x2)                   31      23
-#   100 x (6x6)(6x6)                   36      42
-#   100 x (8x8)(8x8)                   47      56
-#   2000 x (2x2)(2x2)                 568     160
-#   20 x (64x64)(64x64)               824    3098
-#   100 x (4x1)(1x4)                  5.9     8.8
-#   100 x (4x4)(4x1)                  6.0    13.3
+#   rows of A               matmul / matvec    (100 x (2x2)(2x2): 26 / 8.3 us)
+#   2                       1.07 - 3.10
+#   3                       0.97 - 2.49        (the low end at k = cols = 64)
+#   4                       0.79 - 2.10        (below 1 at k = cols = 64)
+#   5                       0.71 - 1.85
+#   2-3, k or cols of 1     0.50 - 1.14
 #
-# The matvec wins up to 4 rows whatever k and cols, and loses at 6x6 and
-# 8x8.  With a dimension of 1, matmul wins.
-_MATVEC_ROWS = 4
+# So the matvec takes A of 2 or 3 rows with no dimension of 1.  The benchmark
+# reaches only 2x2 members; the rest of the range rests on this table.
+_MATVEC_ROWS = 3
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

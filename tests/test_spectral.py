@@ -246,7 +246,7 @@ def _stack(gen, count, rows, cols):
 
 # (rows, inner, cols) of stack products on both sides of _MATVEC_ROWS, the
 # most rows that go through the broadcast matvec, and a 1x1 that matmul keeps
-MUL_SHAPES = [(1, 1, 1), (2, 2, 2), (2, 3, 4), (4, 4, 4), (8, 8, 8), (16, 16, 16)]
+MUL_SHAPES = [(1, 1, 1), (2, 2, 2), (2, 3, 4), (3, 3, 3), (4, 4, 4), (8, 8, 8), (16, 16, 16)]
 
 
 def test_mul_shapes_cover_both_methods():
