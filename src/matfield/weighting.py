@@ -51,10 +51,6 @@ class WeightingOperator:
     def n_streams(self) -> int:
         return self.weights[0].shape[0]
 
-    @property
-    def out_dim(self) -> int:
-        return self.weights[0].shape[1]
-
     def apply(self, phi) -> np.ndarray:
         """Psi(Phi) = sum_k W_k^H Phi W_k + Pi."""
         p = hermitize(phi)

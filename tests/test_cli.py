@@ -1,9 +1,13 @@
+import argparse
 import json
+from pathlib import Path
 
 import pytest
 
+import matfield.experiments
 from matfield import __version__
-from matfield.cli import main
+from matfield.cli import build_parser, main
+from matfield.experiments import MAX_ORACLE_ENTRIES, MODES
 
 
 def write_config(tmp_path, data, name="cfg.json"):
@@ -140,6 +144,43 @@ def test_trials_flag_over_the_cap_exits_two(capsys):
     assert "config error: trials:" in capsys.readouterr().err
 
 
+def _no_sampling(*args, **kwargs):
+    raise AssertionError("the oracle drew its sample stack")
+
+
+@pytest.mark.parametrize("mode", ["design-trace", "design-det", "relay-mse", "relay-capacity", "oracle-compare"])
+def test_oversized_oracle_stack_exits_two_before_sampling(tmp_path, capsys, monkeypatch, mode):
+    # 10**6 samples of 64x64 matrices would ask bulk_u64 for 61 GiB
+    monkeypatch.setattr(matfield.experiments, "random_search_oracle", _no_sampling)
+    cfg = write_config(tmp_path, {"dims": [64, 64, 64, 64], "budget": 1000000, "trials": 1})
+    assert main([mode, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: budget: 1000000 oracle samples of 64x64 matrices")
+    assert str(MAX_ORACLE_ENTRIES) in err and "Traceback" not in err
+
+
+def test_oversized_oracle_stack_of_an_instance_exits_two(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(matfield.experiments, "random_search_oracle", _no_sampling)
+    eye = [[[float(i == j), 0.0] for j in range(4)] for i in range(4)]
+    instance = {"H": eye, "R_n": eye, "W": eye, "Pi": eye}
+    cfg = write_config(tmp_path, {"budget": 625001, "trials": 1, "instance": instance})
+    assert main(["design-det", "--config", cfg]) == 2
+    assert "625001 oracle samples of 4x4 matrices are 10000016 entries" in capsys.readouterr().err
+
+
+def test_oracle_stack_at_the_cap_is_sampled(tmp_path, monkeypatch):
+    calls = []
+
+    def stub_oracle(problem, budget, seed, refinements):
+        calls.append((problem.shape, budget))
+        return 1e300
+
+    monkeypatch.setattr(matfield.experiments, "random_search_oracle", stub_oracle)
+    cfg = write_config(tmp_path, {"dims": [4, 4, 4, 4], "budget": MAX_ORACLE_ENTRIES // 16})
+    assert main(["design-trace", "--config", cfg, "--trials", "1"]) == 0
+    assert calls == [((4, 4), 625000)]
+
+
 def test_numerical_error_exits_three(tmp_path, capsys):
     one = [[[1.0, 0.0]]]
     zero = [[[0.0, 0.0]]]
@@ -168,10 +209,19 @@ def test_oracle_compare_smoke(capsys):
     assert "oracle-compare" in capsys.readouterr().out
 
 
-def test_demo_schur_smoke(capsys):
-    assert main(["demo-schur", "--trials", "1", "--seed", "5"]) == 0
-    out = capsys.readouterr().out
-    assert "demo-schur" in out
+def test_retired_demo_schur_mode_exits_two(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["demo-schur", "--trials", "1"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'demo-schur'" in capsys.readouterr().err
+
+
+def test_cli_and_readme_list_exactly_the_modes():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert tuple(sub.choices) == MODES
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| mode | what it checks |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    assert tuple(row.split("`")[1] for row in table.splitlines()) == MODES
 
 
 ONE = [[[1.0, 0.0]]]
@@ -207,8 +257,6 @@ RELAY = {"H1": ONE, "H2": ONE, "R_s": ONE, "R_n1": ONE, "R_n2": ONE}
         ("design-trace", {**POINT, "H1": ONE}, "instance.H1"),
         ("relay-mse", {**RELAY, "H": ONE}, "instance.H:"),
         ("verify-equivalence", {**RELAY, "n_streams": 1}, "instance.n_streams"),
-        ("demo-schur", {**POINT, "W": EYE2}, "instance.W"),
-        ("demo-schur", {"H": ONE, "R_n": ONE, "Pi": ONE}, "instance.Pi"),
         ("design-trace", {"H": EYE2, "R_n": EYE2, "Pi": EYE2}, "instance.W: missing"),
         ("design-det", {"H": EYE2, "R_n": EYE2, "Pi": EYE2}, "instance.W: missing"),
         ("oracle-compare", {"H": EYE2, "R_n": EYE2, "Pi": EYE2}, "instance.W: missing"),
@@ -237,8 +285,6 @@ RELAY = {"H1": ONE, "H2": ONE, "R_s": ONE, "R_n1": ONE, "R_n2": ONE}
         "stray-relay-field-in-point-instance",
         "stray-point-field-in-relay-instance",
         "streams-in-relay-instance",
-        "demo-schur-takes-no-weight",
-        "demo-schur-takes-no-offset",
         "lone-offset-trace",
         "lone-offset-det",
         "lone-offset-oracle-compare",
@@ -260,15 +306,7 @@ def test_integral_float_streams_count(tmp_path):
     assert main(["design-trace", "--config", cfg]) == 0
 
 
-def test_demo_schur_ignores_the_weighting(tmp_path):
-    # demo-schur builds its own weighting, so the streams need not match dims
-    cfg = write_config(tmp_path, {"trials": 1, "instance": {"H": ROW3, "R_n": ONE}})
-    assert main(["demo-schur", "--config", cfg]) == 0
-
-
 def test_verify_equivalence_runs_on_the_given_instance(tmp_path, monkeypatch):
-    import matfield.experiments
-
     def no_generation(*args, **kwargs):
         raise AssertionError("the instance was ignored")
 

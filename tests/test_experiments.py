@@ -219,11 +219,10 @@ def test_verify_equivalence_tracks_max_discrepancy():
     assert report["aggregate"]["max_rel_discrepancy"] <= DEFAULT_TOLERANCES["equivalence_rel"]
 
 
-def test_demo_schur_is_informational():
-    cfg = build_config({"trials": 1, "seed": 0}, mode="demo-schur")
-    report = run(cfg)
-    assert report["pass"]
-    assert "stream_mses" in report["trials"][0]["detail"]
+def test_retired_demo_schur_mode_is_a_config_error():
+    with pytest.raises(ConfigError, match="^mode: unknown mode 'demo-schur'") as exc:
+        build_config({}, mode="demo-schur")
+    assert str(MODES) in str(exc.value) and len(MODES) == 7
 
 
 def test_tolerance_override_is_echoed_and_enforced():

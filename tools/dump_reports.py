@@ -7,11 +7,11 @@ byte-identical dumps, and two runs of one tree in separate processes must too.
 
     PYTHONPATH=src python3 tools/dump_reports.py > reports.txt
 
-The configs: for each of the eight modes, seeds 0-3 at trials 2, budget 300,
+The configs: for each of the seven modes, seeds 0-3 at trials 2, budget 300,
 refinements 20; one default-config trial; the same small run at P = 1e-12,
 at P = 1e12 and at dims 3x2x4x3, and at dims 2x3x3x2 with P = 1e6 and
 jitter_pi; then design-det and oracle-compare on a jitter_pi instance with a
-singular Pi.  74 configs in all.
+singular Pi.  65 configs in all.
 """
 
 from __future__ import annotations
