@@ -64,7 +64,7 @@ from .errors import ShapeError
 from .mimo import SystemModel, lmmse_error, precoder_power
 from .relay import RelayModel, forwarding_power, relay_chain, relay_error, relay_trace
 from .rng import SplitMix64
-from .spectral import _ct, _inner, _left, _mul, _right
+from .spectral import _ct, _det2, _inner, _inv, _left, _mul, _right
 from .weighting import WeightingOperator, check_streams
 
 _POWER_FLOOR = 1e-300
@@ -130,9 +130,16 @@ def _search_problem(shape, power, power_of, score, grad, gram=None) -> SearchPro
 
 
 def _logdet(psi: np.ndarray) -> np.ndarray:
-    """log det of each stack member; +inf where the determinant is not positive."""
-    sign, ld = np.linalg.slogdet(psi)
-    return np.where(np.real(sign) > 0.0, ld, np.inf)
+    """log |det| of each stack member; +inf where Re det is not positive.
+
+    That is slogdet's value where its sign has a positive real part.  2x2
+    members take log |ad - bc| (`_det2`); other sizes go through slogdet.
+    """
+    if psi.shape[-1] != 2:
+        sign, ld = np.linalg.slogdet(psi)
+        return np.where(np.real(sign) > 0.0, ld, np.inf)
+    det = _det2(psi)
+    return np.log(np.abs(det), out=np.full(det.shape, np.inf), where=det.real > 0.0)
 
 
 def trace_problem(model: SystemModel, op: WeightingOperator) -> SearchProblem:
@@ -160,7 +167,7 @@ def logdet_problem(model: SystemModel, op: WeightingOperator) -> SearchProblem:
 
     def grad(kf, phi, psi):
         # sum_k W_k Psi^{-1} W_k^H
-        return -_mul(_mul(_mul(kf, phi), op.adjoint(np.linalg.inv(psi))), phi)
+        return -_mul(_mul(_mul(kf, phi), op.adjoint(_inv(psi))), phi)
 
     return _search_problem((model.n_tx, model.n_streams), model.power, precoder_power, score, grad)
 
@@ -204,7 +211,7 @@ def relay_logdet_problem(model: RelayModel) -> SearchProblem:
 
     def grad(z, g, psi):
         # S Psi^{-1} S^H
-        return _relay_gradient(model, _mul(z, model.s_congruence.adjoint(np.linalg.inv(psi))), g)
+        return _relay_gradient(model, _mul(z, model.s_congruence.adjoint(_inv(psi))), g)
 
     return _relay_problem(model, score, grad)
 
@@ -280,7 +287,8 @@ class _Memory:
         self.yy[rows, j] = sy_yy[:, m:]
         self.yy[rows, :, j] = sy_yy[:, m:]
         sy_yy[at, j] = 0.0
-        col = np.matvec(self.r_inv[rows], sy_yy[:, :m]) / -sy[:, None]
+        col = np.matvec(self.r_inv[rows], sy_yy[:, :m])
+        col /= -sy[:, None]
         col[at, j] = 1.0 / sy
         self.r_inv[rows, j] = 0.0
         self.r_inv[rows, :, j] = col
@@ -365,8 +373,14 @@ def projected_gradient_descent(
             s, dg = s[acc], g_new - grad[acc]
             sy = np.vecdot(s, dg)
             curved = sy > 0.0
-            memory.push(acc[curved], s[curved], dg[curved], sy[curved])
-            y[acc], x[acc], f[acc], grad[acc] = yc[acc], xc[acc], fc[acc], g_new
+            if curved.all():
+                memory.push(acc, s, dg, sy)
+            else:
+                memory.push(acc[curved], s[curved], dg[curved], sy[curved])
+            np.copyto(y, yc, where=ok[:, None])
+            np.copyto(x, xc, where=ok[:, None, None])
+            np.copyto(f, fc, where=ok)
+            grad[acc] = g_new
         if it % _SETTLE_EVERY == 0:
             keep = older - f > _SETTLE_TOL * np.maximum(1.0, np.abs(f))
             if not keep.all():

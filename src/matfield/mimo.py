@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidWeight, NumericalError, ShapeError
-from .spectral import _ct, _inner, _left, _mul, as_covariance, as_matrix, as_shaped, frozen, from_eigs
+from .spectral import _ct, _inner, _inv, _left, _mul, as_covariance, as_matrix, as_shaped, frozen, from_eigs
 from .spectral import pd_root_eigh, symmetrize
 
 
@@ -103,7 +103,7 @@ def precoder_power(f: np.ndarray) -> np.ndarray:
 def lmmse_error(k_gram: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(K F, Phi(F) = (F^H K F + I)^{-1}) for one precoder or a stack of them."""
     kf = _left(k_gram, f)
-    return kf, np.linalg.inv(_mul(_ct(f), kf) + np.eye(f.shape[-1], dtype=np.complex128))
+    return kf, _inv(_mul(_ct(f), kf) + np.eye(f.shape[-1], dtype=np.complex128))
 
 
 def transmit_power(precoder) -> float:

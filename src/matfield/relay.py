@@ -29,7 +29,7 @@ import numpy as np
 from .design import PrecoderDesign, design_det_min, design_trace_min
 from .errors import NumericalError
 from .mimo import SystemModel, as_float, is_real, trusted
-from .spectral import Congruence, _ct, _inner, _left, _mul, _right, as_covariance, as_matrix
+from .spectral import Congruence, _ct, _inner, _left, _mul, _right, _solve, as_covariance, as_matrix
 from .spectral import as_shaped, from_eigs, frozen, logdet_of, pd_root_eigh, pd_roots, symmetrize
 from .weighting import WeightingOperator
 
@@ -120,7 +120,7 @@ def relay_chain(model: RelayModel, p: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """(T = H2 P, Z = B^{-1} T) for one forwarding matrix or a stack of them."""
     t = _left(model.channel2, p)
     bracket = _mul(_right(t, model.c1), _ct(t)) + model.noise2_cov
-    return t, np.linalg.solve(bracket, t)
+    return t, _solve(bracket, t)
 
 
 def relay_error(model: RelayModel, t: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -466,3 +466,21 @@ def test_congruence_takes_the_kronecker_gemm_only_for_stacks(shape, k):
     assert_stack_matches_members(stacked.adjoint, y)
     # above the crossover a stack goes through the factor products too
     assert ("_vec" in vars(stacked)) == (shape != (40, 40))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_logdet_is_slogdet_where_re_det_is_positive_else_inf(n):
+    # the closed form on 2x2 members and slogdet on larger ones follow one
+    # rule: log |det| where Re det > 0, +inf elsewhere, with no warning (the
+    # suite turns warnings into errors)
+    gen = helpers.rng(90 + n)
+    psi = np.stack(
+        [helpers.random_pd(gen, n), -helpers.random_pd(gen, n), np.zeros((n, n)), np.diag([1.0] + [-1.0] * (n - 1))]
+        + [helpers.crandn(gen, n, n) for _ in range(12)]
+    ).astype(np.complex128)
+    sign, ld = np.linalg.slogdet(psi)
+    positive = np.real(sign) > 0.0
+    assert positive.any() and not positive.all()
+    got = baselines._logdet(psi)
+    assert np.array_equal(np.isinf(got), ~positive)
+    np.testing.assert_allclose(got[positive], ld[positive], rtol=1e-13, atol=1e-13)

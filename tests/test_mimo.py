@@ -14,6 +14,7 @@ from matfield import (
     mse_matrix,
     transmit_power,
 )
+from matfield.mimo import lmmse_error
 from matfield.weighting import weighted_mse_of_precoder
 
 import helpers
@@ -201,3 +202,14 @@ def test_model_validates_scalars():
 def test_transmit_power():
     f = np.array([[1.0, 0.0], [0.0, 2.0]])
     assert abs(transmit_power(f) - 5.0) < 1e-14
+
+
+@pytest.mark.parametrize("n_tx, n_streams", [(2, 2), (3, 2), (2, 3), (1, 1)])
+def test_lmmse_error_of_one_precoder_is_lapack_bitwise(n_tx, n_streams):
+    # the designs evaluate one precoder at a time; only stacks take the 2x2
+    # closed-form inverse, so a design's numbers stay LAPACK's to the bit
+    model = small_model(7, n_tx=n_tx, n_streams=n_streams)
+    f = helpers.crandn(helpers.rng(8), n_tx, n_streams)
+    k = model.k_gram
+    want = np.linalg.inv(f.conj().T @ (k @ f) + np.eye(n_streams))
+    assert lmmse_error(k, f)[1].tobytes() == want.tobytes()

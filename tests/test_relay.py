@@ -17,6 +17,7 @@ from matfield import (
     weighted_mse_of_precoder,
 )
 from matfield.baselines import random_search_oracle, relay_logdet_problem, relay_mse_problem
+from matfield.relay import relay_chain
 from matfield.spectral import from_eigs
 
 import helpers
@@ -282,3 +283,17 @@ def test_model_validation():
 def test_first_hop_gram_value():
     m = scalar_chain(h1=2.0, rs=1.5, r1=0.5)
     assert abs(m.c1[0, 0] - 6.5) < 1e-12
+
+
+@pytest.mark.parametrize("n_src, n_relay, n_dst", [(2, 2, 2), (2, 3, 2), (3, 2, 3), (1, 1, 1)])
+def test_relay_chain_of_one_forwarding_matrix_is_lapack_bitwise(n_src, n_relay, n_dst):
+    # the designs evaluate one forwarding matrix at a time; only stacks take
+    # the 2x2 closed-form solve, so a design's numbers stay LAPACK's to the bit
+    gen = helpers.rng(9)
+    model = helpers.random_relay(gen, n_src, n_relay, n_dst)
+    p = helpers.crandn(gen, n_relay, n_relay)
+    t = model.channel2 @ p
+    want = np.linalg.solve(t @ model.c1 @ t.conj().T + model.noise2_cov, t)
+    got_t, got_z = relay_chain(model, p)
+    assert got_t.tobytes() == t.tobytes()
+    assert got_z.tobytes() == want.tobytes()

@@ -297,3 +297,95 @@ def test_stack_product_member_bits_do_not_depend_on_the_stack(rows, inner, cols)
         assert np.array_equal(spectral._mul(a[k : k + 1], b[k : k + 1])[0], whole[k])
     mask = np.arange(9) % 3 != 1
     assert np.array_equal(spectral._mul(a[mask], b[mask]), whole[mask])
+
+
+def _well_conditioned(gen, count, n):
+    # complex, not Hermitian: the standard normal part plus n I keeps every
+    # member far from singular
+    return _stack(gen, count, n, n) + n * np.eye(n)
+
+
+def _pd_stack(gen, count, n):
+    # Hermitian positive definite, the members _solve is meant for
+    return np.stack([helpers.random_pd(gen, n) for _ in range(count)])
+
+
+# member sizes on both sides of the 2x2 closed forms
+INV_SIZES = [1, 2, 3]
+
+
+@pytest.mark.parametrize("n", INV_SIZES)
+@pytest.mark.parametrize("count", [1, 9])
+def test_stack_inverse_and_solve_match_lapack(n, count):
+    gen = helpers.rng(40 + 10 * n + count)
+    a, pd = _well_conditioned(gen, count, n), _pd_stack(gen, count, n)
+    inv = spectral._inv(a)
+    want = np.linalg.inv(a)
+    assert inv.shape == want.shape
+    assert np.all(np.linalg.norm(inv - want, axis=(1, 2)) <= 1e-13 * np.linalg.norm(want, axis=(1, 2)))
+    # right-hand widths that take _mul's matmul (1 column) and its matvec
+    for cols in (1, 2, 3):
+        t = _stack(gen, count, n, cols)
+        for got, want in ((spectral._mul(inv, t), np.linalg.solve(a, t)), (spectral._solve(pd, t), np.linalg.solve(pd, t))):
+            assert got.shape == want.shape
+            err = np.linalg.norm(got - want, axis=(1, 2))
+            assert np.all(err <= 1e-13 * np.linalg.norm(want, axis=(1, 2)))
+
+
+@pytest.mark.parametrize("n", INV_SIZES)
+def test_inverse_and_solve_of_one_matrix_are_lapack_bitwise(n):
+    gen = helpers.rng(50 + n)
+    a, pd, t = _well_conditioned(gen, 1, n)[0], helpers.random_pd(gen, n), helpers.crandn(gen, n, 2)
+    assert spectral._inv(a).tobytes() == np.linalg.inv(a).tobytes()
+    assert spectral._solve(pd, t).tobytes() == np.linalg.solve(pd, t).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_inverse_and_solve_of_other_member_sizes_are_lapack_bitwise(n):
+    gen = helpers.rng(60 + n)
+    a, pd, t = _well_conditioned(gen, 5, n), _pd_stack(gen, 5, n), _stack(gen, 5, n, 2)
+    assert spectral._inv(a).tobytes() == np.linalg.inv(a).tobytes()
+    assert spectral._solve(pd, t).tobytes() == np.linalg.solve(pd, t).tobytes()
+
+
+def test_stack_inverse_member_bits_do_not_depend_on_the_stack():
+    gen = helpers.rng(70)
+    a, pd, t = _well_conditioned(gen, 9, 2), _pd_stack(gen, 9, 2), _stack(gen, 9, 2, 3)
+    whole, solved = spectral._inv(a), spectral._solve(pd, t)
+    for k in range(9):
+        assert np.array_equal(spectral._inv(a[k : k + 1])[0], whole[k])
+        assert np.array_equal(spectral._solve(pd[k : k + 1], t[k : k + 1])[0], solved[k])
+    for rows in (slice(2, 7), slice(None, None, 2), np.arange(9) % 3 != 1):
+        assert np.array_equal(spectral._inv(a[rows]), whole[rows])
+        assert np.array_equal(spectral._solve(pd[rows], t[rows]), solved[rows])
+
+
+def test_stack_solve_keeps_lapack_accuracy_at_an_ill_conditioned_bracket():
+    # the relay bracket B = T T^H + R at a rank-one T of power 1e12 has a
+    # condition number near 1e12; T^H B^-1 T, which the relay chain forms,
+    # must come out as LAPACK's solve gives it, where T^H (adj B / det B) T
+    # loses about 1e-4 relative
+    gen = helpers.rng(75)
+    t = 1e6 * _stack(gen, 6, 2, 1) @ _stack(gen, 6, 1, 2)
+    b = t @ spectral._ct(t) + _pd_stack(gen, 6, 2)
+    want = spectral._ct(t) @ np.linalg.solve(b, t)
+    got = spectral._ct(t) @ spectral._solve(b, t)
+    assert np.all(np.linalg.norm(got - want, axis=(1, 2)) <= 1e-10 * np.linalg.norm(want, axis=(1, 2)))
+
+
+SINGULAR_2X2 = [np.zeros((2, 2)), np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([[0.0, 1j], [0.0, 3.0]])]
+
+
+@pytest.mark.parametrize("singular", SINGULAR_2X2)
+def test_singular_stack_member_raises_like_lapack(singular):
+    # a zero determinant (or pivot) raises LinAlgError, as LAPACK does, rather
+    # than returning inf or NaN under a RuntimeWarning (which the suite makes an error)
+    gen = helpers.rng(80)
+    a, t = _pd_stack(gen, 4, 2), _stack(gen, 4, 2, 2)
+    a[2] = singular
+    for inv in (spectral._inv, np.linalg.inv):
+        with pytest.raises(np.linalg.LinAlgError):
+            inv(a)
+    for solve in (spectral._solve, np.linalg.solve):
+        with pytest.raises(np.linalg.LinAlgError):
+            solve(a, t)
