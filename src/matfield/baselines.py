@@ -64,7 +64,7 @@ from .errors import ShapeError
 from .mimo import SystemModel, lmmse_error, precoder_power
 from .relay import RelayModel, forwarding_power, relay_chain, relay_error, relay_trace
 from .rng import SplitMix64
-from .spectral import _ct, _det2, _inner, _inv, _left, _mul, _right
+from .spectral import _ct, _inner, _inv, _left, _logdet, _mul, _right
 from .weighting import WeightingOperator, check_streams
 
 _POWER_FLOOR = 1e-300
@@ -127,19 +127,6 @@ def _search_problem(shape, power, power_of, score, grad, gram=None) -> SearchPro
         gradient=gradient,
         gram=gram,
     )
-
-
-def _logdet(psi: np.ndarray) -> np.ndarray:
-    """log |det| of each stack member; +inf where Re det is not positive.
-
-    That is slogdet's value where its sign has a positive real part.  2x2
-    members take log |ad - bc| (`_det2`); other sizes go through slogdet.
-    """
-    if psi.shape[-1] != 2:
-        sign, ld = np.linalg.slogdet(psi)
-        return np.where(np.real(sign) > 0.0, ld, np.inf)
-    det = _det2(psi)
-    return np.log(np.abs(det), out=np.full(det.shape, np.inf), where=det.real > 0.0)
 
 
 def trace_problem(model: SystemModel, op: WeightingOperator) -> SearchProblem:
@@ -373,10 +360,7 @@ def projected_gradient_descent(
             s, dg = s[acc], g_new - grad[acc]
             sy = np.vecdot(s, dg)
             curved = sy > 0.0
-            if curved.all():
-                memory.push(acc, s, dg, sy)
-            else:
-                memory.push(acc[curved], s[curved], dg[curved], sy[curved])
+            memory.push(acc[curved], s[curved], dg[curved], sy[curved])
             np.copyto(y, yc, where=ok[:, None])
             np.copyto(x, xc, where=ok[:, None, None])
             np.copyto(f, fc, where=ok)

@@ -1,9 +1,9 @@
 """Experiment harness: seeded verification and design-vs-oracle runs.
 
-Every mode is a per-trial function (cfg, trial) -> records (two records
-for oracle-compare, one otherwise) paired with an aggregate of the records;
-run() loops over the trials and returns a JSON-serializable report with the
-records, the tolerances actually applied, and a single overall pass flag.
+Every mode is a per-trial function (cfg, trial) -> record paired with an
+aggregate of the records; run() loops over the trials and returns a
+JSON-serializable report with one record per trial, the tolerances actually
+applied, and a single overall pass flag.
 Reports are deterministic for a fixed config except for the wall-time entry.
 
 Sub-stream layout: component c of trial t uses derive_seed(seed, t, c) with
@@ -249,25 +249,25 @@ def _num(value):
     return None if value is None else float(value)
 
 
-def _record(trial, flags, detail, objective=None, oracle_best=None, gap=None, power=None, problem=None):
-    """One per-trial report entry; oracle-compare names its problem right after the trial."""
-    rec = {"trial": trial}
-    if problem is not None:
-        rec["problem"] = problem
-    rec.update(
-        objective_structured=_num(objective),
-        objective_oracle_best=_num(oracle_best),
-        gap=_num(gap),
-        power_used=_num(power),
-        invariant_pass=flags,
-        detail=detail,
-    )
-    return rec
+def _record(trial, flags, detail, objective=None, oracle_best=None, gap=None, power=None):
+    """One per-trial report entry."""
+    return {
+        "trial": trial,
+        "objective_structured": _num(objective),
+        "objective_oracle_best": _num(oracle_best),
+        "gap": _num(gap),
+        "power_used": _num(power),
+        "invariant_pass": flags,
+        "detail": detail,
+    }
 
 
 # complex entries in one trial's oracle sample stack, budget x rows x cols; a trial
 # at the cap peaked at 0.66-0.97 GB resident, and the default budget fits at dims 64
 MAX_ORACLE_ENTRIES = 10**7
+# complex entries in one trial's refinement starts, min(refinements, budget) x rows x
+# cols; 125,000 starts of 2x2 peaked at 0.72 GB, and the default 100 fit at dims 64
+MAX_REFINED_ENTRIES = 500_000
 
 
 def _oracle(cfg: ExperimentConfig, trial: int, problem) -> float:
@@ -277,6 +277,13 @@ def _oracle(cfg: ExperimentConfig, trial: int, problem) -> float:
         raise ConfigError(
             f"budget: {cfg.budget} oracle samples of {rows}x{cols} matrices are {entries} "
             f"entries, above the harness's cap of {MAX_ORACLE_ENTRIES}"
+        )
+    starts = min(cfg.refinements, cfg.budget)
+    refined = starts * rows * cols
+    if refined > MAX_REFINED_ENTRIES:
+        raise ConfigError(
+            f"refinements: {starts} refinement starts of {rows}x{cols} matrices are {refined} "
+            f"entries, above the harness's cap of {MAX_REFINED_ENTRIES}"
         )
     return random_search_oracle(
         problem, cfg.budget, derive_seed(cfg.seed, trial, TAG_ORACLE), refinements=cfg.refinements
@@ -288,7 +295,7 @@ def _gap_ok(cfg: ExperimentConfig, gap: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# per-trial mode functions: (cfg, trial) -> list of records
+# per-trial mode functions: (cfg, trial) -> record
 
 
 def _system(cfg: ExperimentConfig, trial: int):
@@ -324,8 +331,8 @@ def _relay(cfg: ExperimentConfig, trial: int):
     return generate_relay(derive_seed(cfg.seed, trial, TAG_INSTANCE), cfg.dims, cfg.power)
 
 
-def _point_trial(cfg: ExperimentConfig, trial: int, model, op, kind: str):
-    """(design, oracle_best, gap) of one point-to-point design against the oracle."""
+def _point_design(cfg: ExperimentConfig, trial: int, kind: str) -> dict:
+    model, op = _system_and_weighting(cfg, trial)
     if kind == "trace":
         design = design_trace_min(model, op)
         problem = trace_problem(model, op)
@@ -333,18 +340,13 @@ def _point_trial(cfg: ExperimentConfig, trial: int, model, op, kind: str):
         design = design_det_min(model, op, jitter_pi=cfg.jitter_pi)
         problem = logdet_problem(model, op)
     oracle_best = _oracle(cfg, trial, problem)
-    return design, oracle_best, oracle_best - design.objective_value
-
-
-def _point_design(cfg: ExperimentConfig, trial: int, kind: str) -> list:
-    model, op = _system_and_weighting(cfg, trial)
-    design, oracle_best, gap = _point_trial(cfg, trial, model, op, kind)
+    gap = oracle_best - design.objective_value
     flags, detail = _design_invariants(cfg, design, kind, model.power, transmit_power(design.precoder))
     flags["gap"] = _gap_ok(cfg, gap)
-    return [_record(trial, flags, detail, design.objective_value, oracle_best, gap, detail["power_used"])]
+    return _record(trial, flags, detail, design.objective_value, oracle_best, gap, detail["power_used"])
 
 
-def _relay_design(cfg: ExperimentConfig, trial: int, kind: str) -> list:
+def _relay_design(cfg: ExperimentConfig, trial: int, kind: str) -> dict:
     """kind "trace" is the sum-MSE design, "det" the capacity design.
 
     route_match compares the chain objective at P = F C1^{-1/2} with the design's at F.
@@ -368,10 +370,10 @@ def _relay_design(cfg: ExperimentConfig, trial: int, kind: str) -> list:
     flags["gap"] = _gap_ok(cfg, gap)
     flags["route_match"] = bool(route_gap <= cfg.tolerance("equivalence_rel"))
     detail["route_rel_gap"] = float(route_gap)
-    return [_record(trial, flags, detail, objective, oracle_best, gap, power_used)]
+    return _record(trial, flags, detail, objective, oracle_best, gap, power_used)
 
 
-def _verify_inequalities(cfg: ExperimentConfig, trial: int) -> list:
+def _verify_inequalities(cfg: ExperimentConfig, trial: int) -> dict:
     n = cfg.dims[2]
     sa = SplitMix64(derive_seed(cfg.seed, trial, TAG_PSD_A))
     sb = SplitMix64(derive_seed(cfg.seed, trial, TAG_PSD_B))
@@ -404,10 +406,10 @@ def _verify_inequalities(cfg: ExperimentConfig, trial: int) -> list:
         "trace_equality_rel_gap": eq1_gap,
         "det_equality_rel_gap": eq2_gap,
     }
-    return [_record(trial, flags, detail)]
+    return _record(trial, flags, detail)
 
 
-def _verify_equivalence(cfg: ExperimentConfig, trial: int) -> list:
+def _verify_equivalence(cfg: ExperimentConfig, trial: int) -> dict:
     relay = _relay(cfg, trial)
     sysmodel, op = relay_to_weighted(relay)
     probe = SplitMix64(derive_seed(cfg.seed, trial, TAG_PROBE))
@@ -451,18 +453,7 @@ def _verify_equivalence(cfg: ExperimentConfig, trial: int) -> list:
         "capacity_rel_gap": cap_gap,
         "end_to_end_rel_gap": e2e_rel,
     }
-    return [_record(trial, flags, detail, power=power_used)]
-
-
-def _oracle_compare(cfg: ExperimentConfig, trial: int) -> list:
-    model, op = _system_and_weighting(cfg, trial)
-    records = []
-    for kind in ("trace", "det"):
-        design, oracle_best, gap = _point_trial(cfg, trial, model, op, kind)
-        flags = {"gap": _gap_ok(cfg, gap)}
-        power = transmit_power(design.precoder)
-        records.append(_record(trial, flags, {}, design.objective_value, oracle_best, gap, power, kind))
-    return records
+    return _record(trial, flags, detail, power=power_used)
 
 
 def _worst_gap(records: list) -> dict:
@@ -493,8 +484,6 @@ _MODE_TABLE = {
         "relay chain vs weighted point-to-point consistency", _verify_equivalence,
         _largest("max_rel_discrepancy", "route_rel_gap", "capacity_rel_gap", "end_to_end_rel_gap"),
     ),
-    "oracle-compare": ("both point-to-point designs vs the oracle per instance",
-                       _oracle_compare, _worst_gap),
 }
 MODES = tuple(_MODE_TABLE)
 
@@ -507,7 +496,7 @@ def run(cfg: ExperimentConfig) -> dict:
     """Execute the configured mode and return the report dict."""
     start = time.perf_counter()
     _, per_trial, aggregate_of = _MODE_TABLE[cfg.mode]
-    records = [rec for trial in range(cfg.trials) for rec in per_trial(cfg, trial)]
+    records = [per_trial(cfg, trial) for trial in range(cfg.trials)]
     failures = sum(0 if _record_pass(r["invariant_pass"]) else 1 for r in records)
     aggregate = {
         "trials": len(records),
@@ -541,7 +530,6 @@ def run(cfg: ExperimentConfig) -> dict:
 # out of the table
 _COLUMNS = (
     ("trial", "trial", "{}"),
-    ("problem", "problem", "{}"),
     ("objective", "objective_structured", "{:.9g}"),
     ("oracle_best", "objective_oracle_best", "{:.9g}"),
     ("gap", "gap", "{:+.3e}"),

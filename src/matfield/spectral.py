@@ -258,10 +258,11 @@ def loewner_leq(a, b, tol: float = 1e-8) -> bool:
 # A product of two stack members (`_mul`) is one broadcast matvec gufunc
 # while the product is small, else numpy's matmul, which makes one GEMM call
 # per member.  A stack of 2x2 members is inverted (`_inv`) by the adjugate
-# over its determinant (`_det2`), a few ufuncs over the whole stack; one
-# matrix and other member sizes go through LAPACK, one call per member.
-# A solve (`_solve`) of 2x2 members eliminates in closed form.  Either way a
-# member's bits do not depend on its stack.
+# over its determinant (`_det2`), a few ufuncs over the whole stack, and
+# takes its log-det (`_logdet`) from that determinant; one matrix and other
+# member sizes go through LAPACK, one call per member.  A solve (`_solve`) of
+# 2x2 members eliminates in closed form.  Either way a member's bits do not
+# depend on its stack.
 
 
 def _right(x: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -322,6 +323,19 @@ def _inv(a: np.ndarray) -> np.ndarray:
     if not det.all():
         raise np.linalg.LinAlgError("Singular matrix")
     return a[:, ::-1, ::-1].swapaxes(1, 2) / (det[:, None, None] * _ADJ_SIGN)
+
+
+def _logdet(psi: np.ndarray) -> np.ndarray:
+    """log |det| of each stack member; +inf where Re det is not positive.
+
+    That is slogdet's value where its sign has a positive real part.  2x2
+    members take log |ad - bc| (`_det2`); other sizes go through slogdet.
+    """
+    if psi.shape[-1] != 2:
+        sign, ld = np.linalg.slogdet(psi)
+        return np.where(np.real(sign) > 0.0, ld, np.inf)
+    det = _det2(psi)
+    return np.log(np.abs(det), out=np.full(det.shape, np.inf), where=det.real > 0.0)
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

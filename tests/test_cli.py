@@ -7,7 +7,7 @@ import pytest
 import matfield.experiments
 from matfield import __version__
 from matfield.cli import build_parser, main
-from matfield.experiments import MAX_ORACLE_ENTRIES, MODES
+from matfield.experiments import MAX_ORACLE_ENTRIES, MAX_REFINED_ENTRIES, MODES
 
 
 def write_config(tmp_path, data, name="cfg.json"):
@@ -148,7 +148,7 @@ def _no_sampling(*args, **kwargs):
     raise AssertionError("the oracle drew its sample stack")
 
 
-@pytest.mark.parametrize("mode", ["design-trace", "design-det", "relay-mse", "relay-capacity", "oracle-compare"])
+@pytest.mark.parametrize("mode", ["design-trace", "design-det", "relay-mse", "relay-capacity"])
 def test_oversized_oracle_stack_exits_two_before_sampling(tmp_path, capsys, monkeypatch, mode):
     # 10**6 samples of 64x64 matrices would ask bulk_u64 for 61 GiB
     monkeypatch.setattr(matfield.experiments, "random_search_oracle", _no_sampling)
@@ -181,6 +181,34 @@ def test_oracle_stack_at_the_cap_is_sampled(tmp_path, monkeypatch):
     assert calls == [((4, 4), 625000)]
 
 
+def test_oversized_refinement_exits_two_before_sampling(tmp_path, capsys, monkeypatch):
+    # 10**6 refinement starts of 2x2 matrices would ask the L-BFGS memory for
+    # about 1 GiB of pairs alone; every count is within its own cap
+    monkeypatch.setattr(matfield.experiments, "random_search_oracle", _no_sampling)
+    cfg = write_config(tmp_path, {"budget": 1000000, "refinements": 1000000, "trials": 1})
+    assert main(["design-trace", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: refinements: 1000000 refinement starts of 2x2 matrices")
+    assert str(MAX_REFINED_ENTRIES) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "budget, refinements", [(10**6, MAX_REFINED_ENTRIES // 4), (MAX_REFINED_ENTRIES // 4, 10**6)]
+)
+def test_refinement_at_the_cap_is_sampled(tmp_path, monkeypatch, budget, refinements):
+    # the starts are the best min(refinements, budget) samples
+    calls = []
+
+    def stub_oracle(problem, budget, seed, refinements):
+        calls.append((problem.shape, budget, refinements))
+        return 1e300
+
+    monkeypatch.setattr(matfield.experiments, "random_search_oracle", stub_oracle)
+    cfg = write_config(tmp_path, {"budget": budget, "refinements": refinements, "trials": 1})
+    assert main(["design-trace", "--config", cfg]) == 0
+    assert calls == [((2, 2), budget, refinements)]
+
+
 def test_numerical_error_exits_three(tmp_path, capsys):
     one = [[[1.0, 0.0]]]
     zero = [[[0.0, 0.0]]]
@@ -204,16 +232,12 @@ def test_jitter_flag_rescues_singular_offset(tmp_path):
     assert main(["design-det", "--config", cfg, "--jitter-pi"]) == 0
 
 
-def test_oracle_compare_smoke(capsys):
-    assert main(["oracle-compare", "--trials", "1", "--budget", "100", "--seed", "5"]) == 0
-    assert "oracle-compare" in capsys.readouterr().out
-
-
-def test_retired_demo_schur_mode_exits_two(capsys):
+@pytest.mark.parametrize("mode", ["demo-schur", "oracle-compare"])
+def test_retired_mode_exits_two(capsys, mode):
     with pytest.raises(SystemExit) as exc:
-        main(["demo-schur", "--trials", "1"])
+        main([mode, "--trials", "1"])
     assert exc.value.code == 2
-    assert "invalid choice: 'demo-schur'" in capsys.readouterr().err
+    assert f"invalid choice: '{mode}'" in capsys.readouterr().err
 
 
 def test_cli_and_readme_list_exactly_the_modes():
@@ -259,7 +283,6 @@ RELAY = {"H1": ONE, "H2": ONE, "R_s": ONE, "R_n1": ONE, "R_n2": ONE}
         ("verify-equivalence", {**RELAY, "n_streams": 1}, "instance.n_streams"),
         ("design-trace", {"H": EYE2, "R_n": EYE2, "Pi": EYE2}, "instance.W: missing"),
         ("design-det", {"H": EYE2, "R_n": EYE2, "Pi": EYE2}, "instance.W: missing"),
-        ("oracle-compare", {"H": EYE2, "R_n": EYE2, "Pi": EYE2}, "instance.W: missing"),
         ("design-trace", {"H": EYE2, "R_n": EYE2, "W": EYE2}, "instance.Pi: missing"),
     ],
     ids=[
@@ -287,7 +310,6 @@ RELAY = {"H1": ONE, "H2": ONE, "R_s": ONE, "R_n1": ONE, "R_n2": ONE}
         "streams-in-relay-instance",
         "lone-offset-trace",
         "lone-offset-det",
-        "lone-offset-oracle-compare",
         "lone-weight",
     ],
 )

@@ -110,12 +110,14 @@ def test_all_modes_run_and_pass(mode):
     )
     report = run(cfg)
     assert report["pass"], report["aggregate"]
-    assert report["aggregate"]["trials"] >= 1
+    # one record per trial
+    assert len(report["trials"]) == 3 == report["aggregate"]["trials"]
     assert report["mode"] == mode
     assert report["tolerances"]  # applied tolerances are always echoed
     # renderings never crash and mention the mode
     assert mode in render_table(report)
-    assert render_csv(report).count("\n") >= 2
+    csv = render_csv(report)
+    assert csv.startswith("trial,objective_structured,") and csv.count("\n") == 4
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -139,10 +141,6 @@ GOLDEN_ORACLE = {
     "design-det": [(1.4147404404640478, -6.661338147750939e-16)],
     "relay-mse": [(1.8695457776252287, -1.5543122344752192e-15)],
     "relay-capacity": [(1.4384651267312696, 0.0)],
-    "oracle-compare": [
-        (4.817040411704237, 0.0),
-        (1.4147404404640478, -6.661338147750939e-16),
-    ],
 }
 
 
@@ -230,10 +228,11 @@ def test_verify_equivalence_tracks_max_discrepancy():
     assert report["aggregate"]["max_rel_discrepancy"] <= DEFAULT_TOLERANCES["equivalence_rel"]
 
 
-def test_retired_demo_schur_mode_is_a_config_error():
-    with pytest.raises(ConfigError, match="^mode: unknown mode 'demo-schur'") as exc:
-        build_config({}, mode="demo-schur")
-    assert str(MODES) in str(exc.value) and len(MODES) == 7
+@pytest.mark.parametrize("mode", ["demo-schur", "oracle-compare"])
+def test_retired_mode_is_a_config_error(mode):
+    with pytest.raises(ConfigError, match=f"^mode: unknown mode '{mode}'") as exc:
+        build_config({}, mode=mode)
+    assert str(MODES) in str(exc.value) and len(MODES) == 6
 
 
 def test_tolerance_override_is_echoed_and_enforced():

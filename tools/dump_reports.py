@@ -7,11 +7,11 @@ byte-identical dumps, and two runs of one tree in separate processes must too.
 
     PYTHONPATH=src python3 tools/dump_reports.py > reports.txt
 
-The configs: for each of the seven modes, seeds 0-3 at trials 2, budget 300,
+The configs: for each of the six modes, seeds 0-3 at trials 2, budget 300,
 refinements 20; one default-config trial; the same small run at P = 1e-12,
 at P = 1e12 and at dims 3x2x4x3, and at dims 2x3x3x2 with P = 1e6 and
-jitter_pi; then design-det and oracle-compare on a jitter_pi instance with a
-singular Pi.  65 configs in all.
+jitter_pi; then design-det on a jitter_pi instance with a singular Pi.
+55 configs in all.
 """
 
 from __future__ import annotations
@@ -47,8 +47,7 @@ def configs():
         yield mode, {**SMALL, "power": 1e12}
         yield mode, {**SMALL, "dims": [3, 2, 4, 3]}
         yield mode, {**SMALL, "dims": [2, 3, 3, 2], "power": 1e6, "jitter_pi": True}
-    for mode in ("design-det", "oracle-compare"):
-        yield mode, {**SMALL, "jitter_pi": True, "instance": singular_pi_instance()}
+    yield "design-det", {**SMALL, "jitter_pi": True, "instance": singular_pi_instance()}
 
 
 def dump(mode: str, data: dict) -> str:
