@@ -14,6 +14,7 @@ Sub-stream layout: component c of trial t uses derive_seed(seed, t, c) with
 from __future__ import annotations
 
 import json
+import sys
 import time
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
@@ -94,16 +95,8 @@ class ExperimentConfig:
     budget: int = 2000
     refinements: int = 100
     jitter_pi: bool = False
-    tolerances: dict = field(default_factory=dict)
+    tolerances: dict = field(default_factory=DEFAULT_TOLERANCES.copy)
     instance: Optional[dict] = None
-
-    def tolerance(self, name: str) -> float:
-        return self.tolerances.get(name, DEFAULT_TOLERANCES[name])
-
-    def applied_tolerances(self) -> dict:
-        out = dict(DEFAULT_TOLERANCES)
-        out.update(self.tolerances)
-        return out
 
 
 def load_config_file(path: str) -> dict:
@@ -151,8 +144,9 @@ def build_config(data: dict, mode: Optional[str] = None, **overrides) -> Experim
     if not is_real(merged["power"]):
         raise ConfigError(f"power: expected a number, got {merged['power']!r}")
     power = as_float(merged["power"])
-    if not 0.0 < power < np.inf:
-        raise ConfigError(f"power: must be positive and finite, got {power!r}")
+    # below the smallest normal double Tr(F F^H) keeps too few digits for the power check
+    if not sys.float_info.min <= power < np.inf:
+        raise ConfigError(f"power: must be finite and at least {sys.float_info.min!r}, got {power!r}")
     # trials and oracle samples per trial stop at 10**6, 50000 and 500 times
     # the defaults, so a mistyped count exits at once instead of running on
     for key, lo, hi in (("trials", 1, 10**6), ("budget", 1, 10**6), ("refinements", 0, None),
@@ -179,7 +173,7 @@ def build_config(data: dict, mode: Optional[str] = None, **overrides) -> Experim
         raise ConfigError("instance: verify-inequalities draws its own matrix pairs and takes none")
     if not isinstance(merged["jitter_pi"], bool):
         raise ConfigError("jitter_pi: expected true or false")
-    tol = {name: float(value) for name, value in tol.items()}
+    tol = {**DEFAULT_TOLERANCES, **{name: float(value) for name, value in tol.items()}}
     return ExperimentConfig(**{**merged, "dims": dims, "power": power, "tolerances": tol})
 
 
@@ -197,12 +191,14 @@ def _scalar_gap(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
-def _design_invariants(cfg, design, kind: str, power: float, power_used: float) -> tuple[dict, dict]:
-    """Power, KKT, ordering, and scalarization checks shared by design modes.
+def _design_invariants(cfg, design, kind: str, power: float, power_used: float,
+                       gap: float) -> tuple[dict, dict]:
+    """Power, KKT, ordering, scalarization and oracle-gap checks shared by design modes.
 
     The checks read the paired spectra the design water-filled.  power is
     the budget; power_used is the power the design spends: Tr(F F^H) for a
-    point design, Tr(P C1 P^H) for a relay design.
+    point design, Tr(P C1 P^H) for a relay design.  gap is the oracle's best
+    minus the design's objective.
     """
     lam_obj = design.weight_eigs
     lam_h_modes = design.channel_eigs
@@ -220,18 +216,19 @@ def _design_invariants(cfg, design, kind: str, power: float, power_used: float) 
         kkt = logdet_kkt_residual(lam_obj, lam_h_modes, gains_sq, design.multiplier)
     any_active = bool(np.any(lam_obj * lam_h_modes > 0.0))
     if any_active:
-        power_ok = abs(power_used - power) <= cfg.tolerance("power_rel") * power
+        power_ok = abs(power_used - power) <= cfg.tolerances["power_rel"] * power
     else:
-        power_ok = power_used <= cfg.tolerance("power_rel") * power
+        power_ok = power_used <= cfg.tolerances["power_rel"] * power
     products = lam_h_modes * gains_sq
     ordering_ok = bool(np.all(np.diff(products) <= 1e-9 * max(1.0, float(products.max(initial=0.0)))))
     flags = {
         "power": bool(power_ok),
-        "kkt": bool(kkt <= cfg.tolerance("kkt_rel")),
+        "kkt": bool(kkt <= cfg.tolerances["kkt_rel"]),
         "ordering": ordering_ok,
         "scalarization": bool(
-            _scalar_gap(design.objective_value, scalar) <= cfg.tolerance("scalarization")
+            _scalar_gap(design.objective_value, scalar) <= cfg.tolerances["scalarization"]
         ),
+        "gap": bool(gap >= -cfg.tolerances["optimality_gap"]),
     }
     detail = {
         "power_used": float(power_used),
@@ -290,23 +287,16 @@ def _oracle(cfg: ExperimentConfig, trial: int, problem) -> float:
     )
 
 
-def _gap_ok(cfg: ExperimentConfig, gap: float) -> bool:
-    return bool(gap >= -cfg.tolerance("optimality_gap"))
-
-
 # ---------------------------------------------------------------------------
 # per-trial mode functions: (cfg, trial) -> record
 
 
-def _system(cfg: ExperimentConfig, trial: int):
-    if cfg.instance is not None:
-        return system_from_json(cfg.instance, cfg.power)
-    return generate_system(derive_seed(cfg.seed, trial, TAG_INSTANCE), cfg.dims, cfg.power)
-
-
 def _system_and_weighting(cfg: ExperimentConfig, trial: int):
     """The trial's model and a single-factor weighting that fits its streams."""
-    model = _system(cfg, trial)
+    if cfg.instance is None:
+        model = generate_system(derive_seed(cfg.seed, trial, TAG_INSTANCE), cfg.dims, cfg.power)
+    else:
+        model = system_from_json(cfg.instance, cfg.power)
     if cfg.instance is not None and ("W" in cfg.instance or "Pi" in cfg.instance):
         op = weighting_from_json(cfg.instance)
         if op.k != 1:
@@ -341,8 +331,8 @@ def _point_design(cfg: ExperimentConfig, trial: int, kind: str) -> dict:
         problem = logdet_problem(model, op)
     oracle_best = _oracle(cfg, trial, problem)
     gap = oracle_best - design.objective_value
-    flags, detail = _design_invariants(cfg, design, kind, model.power, transmit_power(design.precoder))
-    flags["gap"] = _gap_ok(cfg, gap)
+    flags, detail = _design_invariants(cfg, design, kind, model.power, transmit_power(design.precoder),
+                                       gap)
     return _record(trial, flags, detail, design.objective_value, oracle_best, gap, detail["power_used"])
 
 
@@ -366,9 +356,8 @@ def _relay_design(cfg: ExperimentConfig, trial: int, kind: str) -> dict:
         mapped = logdet_rs - design.objective_value
     route_gap = _scalar_gap(objective, mapped)
     power_used = relay_transmit_power(relay, fwd)
-    flags, detail = _design_invariants(cfg, design, kind, relay.power, power_used)
-    flags["gap"] = _gap_ok(cfg, gap)
-    flags["route_match"] = bool(route_gap <= cfg.tolerance("equivalence_rel"))
+    flags, detail = _design_invariants(cfg, design, kind, relay.power, power_used, gap)
+    flags["route_match"] = bool(route_gap <= cfg.tolerances["equivalence_rel"])
     detail["route_rel_gap"] = float(route_gap)
     return _record(trial, flags, detail, objective, oracle_best, gap, power_used)
 
@@ -381,8 +370,8 @@ def _verify_inequalities(cfg: ExperimentConfig, trial: int) -> dict:
     bb = sb.complex_normal(n, n)
     a = symmetrize(ba.conj().T @ ba)
     b = symmetrize(bb.conj().T @ bb)
-    bound1, holds1 = trace_product_lower_bound(a, b, cfg.tolerance("inequality_slack"))
-    bound2, holds2 = det_sum_lower_bound(a, b, cfg.tolerance("inequality_slack"))
+    bound1, holds1 = trace_product_lower_bound(a, b, cfg.tolerances["inequality_slack"])
+    bound2, holds2 = det_sum_lower_bound(a, b, cfg.tolerances["inequality_slack"])
     # equality constructions: shared eigenvectors, reversed order for the
     # trace bound, aligned order for the determinant bound
     evd_a = ordered_evd(a)
@@ -397,8 +386,8 @@ def _verify_inequalities(cfg: ExperimentConfig, trial: int) -> dict:
     flags = {
         "trace_bound": bool(holds1),
         "det_bound": bool(holds2),
-        "trace_equality": bool(eq1_gap <= cfg.tolerance("equality_rel")),
-        "det_equality": bool(eq2_gap <= cfg.tolerance("equality_rel")),
+        "trace_equality": bool(eq1_gap <= cfg.tolerances["equality_rel"]),
+        "det_equality": bool(eq2_gap <= cfg.tolerances["equality_rel"]),
     }
     detail = {
         "trace_bound": bound1,
@@ -440,11 +429,11 @@ def _verify_equivalence(cfg: ExperimentConfig, trial: int) -> dict:
     e2e_rel = _rel_gap(psi_relay, e2e)
 
     flags = {
-        "route_match": bool(route_rel <= cfg.tolerance("equivalence_rel")),
-        "pi_identity": bool(pi_identity <= cfg.tolerance("two_route_rel")),
-        "power_bijection": bool(power_gap <= cfg.tolerance("power_rel")),
-        "capacity_two_route": bool(cap_gap <= cfg.tolerance("equivalence_rel")),
-        "end_to_end_lmmse": bool(e2e_rel <= cfg.tolerance("equivalence_rel")),
+        "route_match": bool(route_rel <= cfg.tolerances["equivalence_rel"]),
+        "pi_identity": bool(pi_identity <= cfg.tolerances["two_route_rel"]),
+        "power_bijection": bool(power_gap <= cfg.tolerances["power_rel"]),
+        "capacity_two_route": bool(cap_gap <= cfg.tolerances["equivalence_rel"]),
+        "end_to_end_lmmse": bool(e2e_rel <= cfg.tolerances["equivalence_rel"]),
     }
     detail = {
         "route_rel_gap": route_rel,
@@ -518,7 +507,7 @@ def run(cfg: ExperimentConfig) -> dict:
             "jitter_pi": cfg.jitter_pi,
             "explicit_instance": cfg.instance is not None,
         },
-        "tolerances": cfg.applied_tolerances(),
+        "tolerances": dict(cfg.tolerances),
         "trials": records,
         "aggregate": aggregate,
         "pass": failures == 0,

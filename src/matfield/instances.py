@@ -152,12 +152,9 @@ def system_from_json(obj, power: float) -> SystemModel:
 
 
 def weighting_from_json(obj) -> WeightingOperator:
-    """Build a WeightingOperator from config fields W (matrix or list) and Pi, which come together."""
-    if not isinstance(obj, dict):
-        raise ConfigError("instance: expected an object")
-    for key in ("W", "Pi"):
-        if key not in obj:
-            raise ConfigError(f"instance.{key}: missing")
+    """Build a WeightingOperator from config fields W (matrix or list) and Pi, which come together;
+    the point instance may also carry the system's H, R_n and n_streams."""
+    _instance_fields(obj, ("W", "Pi"), ("H", "R_n", "n_streams"))
     w_obj = first = obj["W"]
     depth = 0  # lists nested along the first entries: 3 for a matrix, 4 for a list of them
     while isinstance(first, list) and depth < 4:

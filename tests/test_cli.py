@@ -125,6 +125,8 @@ def test_unknown_field_exits_two(tmp_path, capsys):
         # an integer literal too large for a float
         pytest.param("power", 10**400, id="power-overflowing"),
         pytest.param("power", -(10**400), id="power-negative-overflowing"),
+        # below the smallest normal double, which the power flag cannot check
+        pytest.param("power", 1e-320, id="power-subnormal"),
         # the budget cap, 10**6 oracle samples
         pytest.param("budget", 10**400, id="budget-huge"),
         pytest.param("budget", 10**6 + 1, id="budget-over-cap"),

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ def test_build_config_defaults():
     cfg = build_config({}, mode="design-trace")
     assert cfg.mode == "design-trace"
     assert cfg.dims == (2, 2, 2, 2)
-    assert cfg.tolerance("optimality_gap") == DEFAULT_TOLERANCES["optimality_gap"]
+    assert cfg.tolerances["optimality_gap"] == DEFAULT_TOLERANCES["optimality_gap"]
 
 
 def test_build_config_overrides_win():
@@ -59,7 +60,8 @@ def test_build_config_rejects_bad_input():
         build_config({"dims": [2, 2]}, mode="design-trace")
     with pytest.raises(ConfigError, match="dims"):
         build_config({"dims": [2, 2, -1, 2]}, mode="design-trace")
-    for power in (0, float("inf"), float("nan"), 10**400, -(10**400)):
+    # below the smallest normal double the power flag fails on valid designs
+    for power in (0, float("inf"), float("nan"), 10**400, -(10**400), 1e-320, 5e-324):
         with pytest.raises(ConfigError, match="^power:"):
             build_config({"power": power}, mode="design-trace")
     with pytest.raises(ConfigError, match="trials"):
@@ -242,6 +244,7 @@ def test_tolerance_override_is_echoed_and_enforced():
     )
     report = run(cfg)
     assert report["tolerances"]["equivalence_rel"] == 1e-300
+    assert list(report["tolerances"]) == list(DEFAULT_TOLERANCES)  # the override keeps its place
     assert not report["pass"]  # float roundoff exceeds an impossible tolerance
 
 
@@ -334,7 +337,9 @@ def assert_report_passes(report):
 
 
 # (power, dims) inputs: the default dims keep their plain power ids
-EXTREME_BUDGETS = [pytest.param(p, [2, 2, 2, 2], id=str(p)) for p in (1e-12, 1e-9, 1e12)] + [
+EXTREME_BUDGETS = [
+    pytest.param(p, [2, 2, 2, 2], id=str(p)) for p in (sys.float_info.min, 1e-12, 1e-9, 1e12)
+] + [
     pytest.param(1e-12, [1, 2, 2, 2], id="1e-12-dims1x2x2x2"),
     pytest.param(1e-9, [1, 2, 2, 2], id="1e-09-dims1x2x2x2"),
     # fewer transmit antennas than streams: (F^H K F + I)^{-1} loses the unit

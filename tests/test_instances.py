@@ -156,8 +156,12 @@ def test_weighting_from_json_single_and_list():
     assert single.k == 1
     multi = weighting_from_json({"W": [w, w], "Pi": pi})
     assert multi.k == 2
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^instance\.Pi: missing"):
         weighting_from_json({"W": w})
+    # the system's fields may ride along, as in a point instance; any other is rejected
+    weighting_from_json({"W": w, "Pi": pi, "H": w, "R_n": pi, "n_streams": 2})
+    with pytest.raises(ConfigError, match=r"^instance\.H1: unknown field"):
+        weighting_from_json({"W": w, "Pi": pi, "H1": w})
 
 
 
