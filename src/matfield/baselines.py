@@ -11,11 +11,11 @@ losing to it.
 Objectives and powers are the model layer's own stack kernels, so the oracle
 scores a candidate by the design's formulas; this module adds one conjugate
 (Wirtinger) gradient d objective / d conj(X) per family, a descent step being
-X - eta * grad.  With ``with_state=True`` an objective also returns its
-per-row intermediates (state), which ``gradient(x, state)`` takes instead of
-rebuilding them: ``(K F, Phi)`` for the trace problem, ``(K F, Phi, Psi)`` for
-log-det, ``(T, Z)`` for the relay sum-MSE and ``(Z, G, Psi)`` for the relay
-log-det (see `relay`).  A row mask selects the state of a subset of rows.
+X - eta * grad.  An objective returns its values with its per-row
+intermediates (state), from which the gradient is taken without rebuilding
+them: ``(K F, Phi)`` for the trace problem, ``(K F, Phi, Psi)`` for log-det,
+``(T, Z)`` for the relay sum-MSE and ``(Z, G, Psi)`` for the relay log-det
+(see `relay`).  A row mask selects the state of a subset of rows.
 
 The objectives fall as power grows, so their minimizers sit on the power
 sphere p(X) = P of the power form p(X) = Re Tr(X M X^H), with M = I for the
@@ -73,9 +73,10 @@ _POWER_FLOOR = 1e-300
 # counts as settled
 _SETTLE_EVERY = 3
 _SETTLE_TOL = 1e-14
-# L-BFGS: the most (s, y) pairs a start keeps, and the Armijo fraction of the
-# predicted decrease an accepted candidate must reach
+# L-BFGS: the most (s, y) pairs a start keeps, the most iterations, and the
+# Armijo fraction of the predicted decrease an accepted candidate must reach
 _MEMORY = 16
+_MAX_ITER = 500
 _ARMIJO = 1e-4
 
 
@@ -83,11 +84,13 @@ _ARMIJO = 1e-4
 class SearchProblem:
     """Minimization problem over complex matrices with a quadratic power cap.
 
-    ``objective(x, with_state=False)`` returns the values, or ``(values,
-    state)`` with the per-row intermediates; ``gradient(x, state=None)``
-    reuses a state for the same rows of ``x`` when one is given.
-    ``gram`` is M of the power form p(X) = Re Tr(X M X^H), or None when
-    M = I.
+    The callables are unchecked stack kernels, like `WeightingOperator.psi`:
+    ``objective(x)`` takes a (count, *shape) stack and returns ``(values,
+    state)``, the state a tuple of per-row intermediates; ``gradient(*state)``
+    returns the gradient at the rows the state holds, so a row subset of
+    every state array gives the gradient of those rows; ``power_of(x)`` is
+    the power form p(X) = Re Tr(X M X^H) of each member.  ``gram`` is M, or
+    None when M = I.
     """
 
     shape: tuple
@@ -98,65 +101,34 @@ class SearchProblem:
     gram: np.ndarray | None = None
 
 
-def _as_stack(x: np.ndarray, shape) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.complex128)
-    if arr.ndim == 2:
-        arr = arr[None, :, :]
-    if arr.ndim != 3 or arr.shape[1:] != tuple(shape):
-        raise ShapeError(f"expected a stack of {tuple(shape)} matrices, got {arr.shape}")
-    return arr
-
-
-def _search_problem(shape, power, power_of, score, grad, gram=None) -> SearchProblem:
-    """The problem of score(stack) -> (values, state) and grad(*state) -> gradient stack."""
-
-    def objective(x, with_state=False):
-        out, state = score(_as_stack(x, shape))
-        return (out, state) if with_state else out
-
-    def gradient(x, state=None):
-        if state is None:
-            _, state = score(_as_stack(x, shape))
-        return grad(*state)
-
-    return SearchProblem(
-        shape=shape,
-        power=power,
-        objective=objective,
-        power_of=lambda x: power_of(_as_stack(x, shape)),
-        gradient=gradient,
-        gram=gram,
-    )
-
-
 def trace_problem(model: SystemModel, op: WeightingOperator) -> SearchProblem:
     """Tr Psi(F) = Tr(W_gram Phi) + Tr Pi as a batched function of the precoder F."""
     check_streams(op, model)
 
-    def score(f):
+    def objective(f):
         kf, phi = lmmse_error(model.k_gram, f)
         return op.psi_trace(phi), (kf, phi)
 
-    def grad(kf, phi):
+    def gradient(kf, phi):
         return -_mul(_right(_mul(kf, phi), op.stream_gram), phi)
 
-    return _search_problem((model.n_tx, model.n_streams), model.power, precoder_power, score, grad)
+    return SearchProblem((model.n_tx, model.n_streams), model.power, objective, precoder_power, gradient)
 
 
 def logdet_problem(model: SystemModel, op: WeightingOperator) -> SearchProblem:
     """log det Psi(F) as a batched function of the precoder F."""
     check_streams(op, model)
 
-    def score(f):
+    def objective(f):
         kf, phi = lmmse_error(model.k_gram, f)
         psi = op.psi(phi)
         return _logdet(psi), (kf, phi, psi)
 
-    def grad(kf, phi, psi):
+    def gradient(kf, phi, psi):
         # sum_k W_k Psi^{-1} W_k^H
         return -_mul(_mul(_mul(kf, phi), op.adjoint(_inv(psi))), phi)
 
-    return _search_problem((model.n_tx, model.n_streams), model.power, precoder_power, score, grad)
+    return SearchProblem((model.n_tx, model.n_streams), model.power, objective, precoder_power, gradient)
 
 
 def _relay_gradient(model: RelayModel, zm: np.ndarray, g: np.ndarray):
@@ -168,39 +140,43 @@ def _relay_gradient(model: RelayModel, zm: np.ndarray, g: np.ndarray):
     return _left(np.conj(model.channel2.T), _right(_mul(zm, g), model.c1) - zm)
 
 
-def _relay_problem(model: RelayModel, score, grad) -> SearchProblem:
-    shape = (model.n_relay_tx, model.n_relay_rx)
-    return _search_problem(
-        shape, model.power, lambda p: forwarding_power(model, p), score, grad, gram=model.c1
+def _relay_problem(model: RelayModel, objective, gradient) -> SearchProblem:
+    return SearchProblem(
+        (model.n_relay_tx, model.n_relay_rx),
+        model.power,
+        objective,
+        lambda p: forwarding_power(model, p),
+        gradient,
+        gram=model.c1,
     )
 
 
 def relay_mse_problem(model: RelayModel) -> SearchProblem:
     """Tr Psi(P) through the relay chain as a batched function of P."""
 
-    def score(p):
+    def objective(p):
         t, z = relay_chain(model, p)
         return relay_trace(model, t, z), (t, z)
 
-    def grad(t, z):
+    def gradient(t, z):
         return _relay_gradient(model, _right(z, model.q_gram), _mul(_ct(t), z))
 
-    return _relay_problem(model, score, grad)
+    return _relay_problem(model, objective, gradient)
 
 
 def relay_logdet_problem(model: RelayModel) -> SearchProblem:
     """log det Psi(P) through the relay chain (capacity = log det R_s - this)."""
 
-    def score(p):
+    def objective(p):
         t, z = relay_chain(model, p)
         g, psi = relay_error(model, t, z)
         return _logdet(psi), (z, g, psi)
 
-    def grad(z, g, psi):
+    def gradient(z, g, psi):
         # S Psi^{-1} S^H
         return _relay_gradient(model, _mul(z, model.s_congruence.adjoint(_inv(psi))), g)
 
-    return _relay_problem(model, score, grad)
+    return _relay_problem(model, objective, gradient)
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +187,13 @@ def _project_to_budget(problem: SearchProblem, x: np.ndarray, boundary: bool = F
     """Rescale stack members exceeding the budget (or everything, to the boundary)."""
     scale = np.sqrt(problem.power / np.maximum(problem.power_of(x), _POWER_FLOOR))
     return x * (scale if boundary else np.minimum(1.0, scale))[:, None, None]
+
+
+def _as_stack(x: np.ndarray, shape) -> np.ndarray:
+    arr = np.asarray(x, dtype=np.complex128)
+    if arr.ndim != 3 or arr.shape[1:] != tuple(shape):
+        raise ShapeError(f"expected a stack of {tuple(shape)} matrices, got {arr.shape}")
+    return arr
 
 
 def _flat(a: np.ndarray) -> np.ndarray:
@@ -298,9 +281,7 @@ class _Memory:
         return np.vecmat(np.concatenate([-u, gamma * w], axis=1), self.pairs) - gamma * g
 
 
-def projected_gradient_descent(
-    problem: SearchProblem, starts: np.ndarray, max_iter: int = 500
-) -> tuple[np.ndarray, np.ndarray]:
+def projected_gradient_descent(problem: SearchProblem, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Refine a stack of feasible starts by batched L-BFGS in the scale-free variable.
 
     Each start is a point Y with X = sqrt(P / p(Y)) Y (see the module
@@ -319,17 +300,18 @@ def projected_gradient_descent(
     (s, y), y the change in G, when the curvature <s, y> is positive.  A
     start freezes at a checkpoint (every `_SETTLE_EVERY` iterations) once its
     value fell by at most `_SETTLE_TOL` max(1, |f|) since the checkpoint
-    before the last one, and `max_iter` caps the iterations.  Each iteration
+    before the last one, and `_MAX_ITER` caps the iterations.  Each iteration
     scores only the live (unfrozen) starts, and the gradient at an accepted
-    candidate reuses the state its objective evaluation built.  Returns
+    candidate reuses the state its objective evaluation built.  `starts`
+    must be a stack of `problem.shape` members (else ShapeError).  Returns
     (values, points).
     """
-    x = _project_to_budget(problem, np.array(starts, dtype=np.complex128))
+    x = _project_to_budget(problem, _as_stack(starts, problem.shape))
     count, rows, cols = x.shape
-    f, state = problem.objective(x, with_state=True)
+    f, state = problem.objective(x)
     values, points = f.copy(), x.copy()
     power = np.maximum(problem.power_of(x), _POWER_FLOOR)
-    grad = _flat(_search_gradient(problem, x, power, problem.gradient(x, state)))
+    grad = _flat(_search_gradient(problem, x, power, problem.gradient(*state)))
     y = _flat(x).copy()
     size = y.shape[1]
     radius = np.maximum(np.sqrt(np.vecdot(y, y)), np.sqrt(problem.power))
@@ -339,7 +321,7 @@ def projected_gradient_descent(
     live = np.arange(count)
     # values at the last two checkpoints; no start is judged before the second
     older, newer = np.full_like(f, np.inf), f.copy()
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         if live.size == 0:
             break
         d = memory.direction(grad)
@@ -348,15 +330,14 @@ def projected_gradient_descent(
         cand = yc.view(np.complex128).reshape(-1, rows, cols)
         pc = np.maximum(problem.power_of(cand), _POWER_FLOOR)
         xc = cand * np.sqrt(problem.power / pc)[:, None, None]
-        fc, state = problem.objective(xc, with_state=True)
+        fc, state = problem.objective(xc)
         s = yc - y
         ok = (fc <= f + _ARMIJO * t * slope) & (fc < f) & (np.vecdot(s, s) > 0.0)
         t = np.where(ok, 1.0, 0.5 * t)
         acc = np.flatnonzero(ok)
         if acc.size:
-            g_new = _flat(_search_gradient(
-                problem, cand[acc], pc[acc], problem.gradient(xc[acc], tuple(a[acc] for a in state))
-            ))
+            g_acc = problem.gradient(*(a[acc] for a in state))
+            g_new = _flat(_search_gradient(problem, cand[acc], pc[acc], g_acc))
             s, dg = s[acc], g_new - grad[acc]
             sy = np.vecdot(s, dg)
             curved = sy > 0.0
@@ -393,7 +374,7 @@ def random_search_oracle(
     stream = SplitMix64(seed)
     x = stream.complex_normal_stack(budget, rows, cols)
     x = _project_to_budget(problem, x, boundary=True)
-    values = problem.objective(x)
+    values, _ = problem.objective(x)
     best = float(np.min(values))
     if refinements > 0:
         order = np.argsort(values, kind="stable")[:refinements]

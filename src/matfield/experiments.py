@@ -562,25 +562,16 @@ def render_csv(report: dict) -> str:
     records = report["trials"]
     if not records:
         return ""
-    flag_names = sorted({name for r in records for name in r["invariant_pass"]})
-    detail_names = sorted(
-        {
-            name
-            for r in records
-            for name, v in r.get("detail", {}).items()
-            if isinstance(v, (int, float))
-        }
-    )
+    # every record of a report has the same flag and detail keys
+    flag_names = sorted(records[0]["invariant_pass"])
+    detail_names = sorted(records[0]["detail"])
     cols = [key for _, key, _ in _COLUMNS]
     cols += [f"inv_{n}" for n in flag_names] + [f"detail_{n}" for n in detail_names]
     out = [",".join(cols)]
     for r in records:
         # str of a float is its repr
         cells = ["" if r.get(key) is None else str(r[key]) for _, key, _ in _COLUMNS]
-        for n in flag_names:
-            cells.append(str(int(bool(r["invariant_pass"].get(n, True)))))
-        for n in detail_names:
-            v = r.get("detail", {}).get(n)
-            cells.append("" if not isinstance(v, (int, float)) else repr(float(v)))
+        cells += [str(int(bool(r["invariant_pass"][n]))) for n in flag_names]
+        cells += [repr(float(r["detail"][n])) for n in detail_names]
         out.append(",".join(cells))
     return "\n".join(out) + "\n"

@@ -163,10 +163,10 @@ def masked_pgd_reference(problem, starts, max_iter=500, value_rule=True):
     """
     x = _project_reference(problem, np.array(starts, dtype=np.complex128))
     count, rows, cols = x.shape
-    f = problem.objective(x)
+    f = problem.objective(x)[0]
     y = _real_reference(x).copy()
     power = np.maximum(problem.power_of(x), 1e-300)
-    grad = _search_gradient_reference(problem, x, power, problem.gradient(x))
+    grad = _search_gradient_reference(problem, x, power, problem.gradient(*problem.objective(x)[1]))
     size = y.shape[1]
     mem = min(size, 16)
     # rows 0 .. mem-1 hold the steps s, rows mem .. 2 mem-1 the gradient
@@ -190,14 +190,14 @@ def masked_pgd_reference(problem, starts, max_iter=500, value_rule=True):
         cand = yc.view(np.complex128).reshape(-1, rows, cols)
         pc = np.maximum(problem.power_of(cand), 1e-300)
         xc = cand * np.sqrt(problem.power / pc)[:, None, None]
-        fc = problem.objective(xc)
+        fc = problem.objective(xc)[0]
         s_all = yc - y
         armijo = fc <= f + 1e-4 * t * slope
         improved = active & armijo & (fc < f) & (np.vecdot(s_all, s_all) > 0.0)
         t[active & ~improved] *= 0.5
         if np.any(improved):
             g_new = _search_gradient_reference(
-                problem, cand[improved], pc[improved], problem.gradient(xc[improved])
+                problem, cand[improved], pc[improved], problem.gradient(*problem.objective(xc[improved])[1])
             )
             s, dg = s_all[improved], g_new - grad[improved]
             sy, yy = np.vecdot(s, dg), np.vecdot(dg, dg)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from matfield import baselines, design_relay_sum_mse, design_trace_min, design_det_min
+from matfield.errors import ShapeError
 from matfield.instances import generate_relay, generate_system, generate_weighting
 from matfield.mimo import lmmse_error, precoder_power, transmit_power
 from matfield.relay import (
@@ -28,20 +29,24 @@ from matfield.baselines import (
 import helpers
 
 
+def value(problem, x):
+    """The objective at one matrix, scored as a one-member stack."""
+    return problem.objective(x[None])[0][0]
+
+
+def gradient_at(problem, x):
+    """The gradient at each member of a stack, from the state its objective builds."""
+    return problem.gradient(*problem.objective(x)[1])
+
+
 def finite_diff_gradient(problem, x, h=1e-6):
     g = np.zeros_like(x, dtype=complex)
     for i in range(x.shape[0]):
         for j in range(x.shape[1]):
             e = np.zeros_like(x)
             e[i, j] = h
-            d_re = (
-                problem.objective(np.stack([x + e]))[0]
-                - problem.objective(np.stack([x - e]))[0]
-            ) / (2 * h)
-            d_im = (
-                problem.objective(np.stack([x + 1j * e]))[0]
-                - problem.objective(np.stack([x - 1j * e]))[0]
-            ) / (2 * h)
+            d_re = (value(problem, x + e) - value(problem, x - e)) / (2 * h)
+            d_im = (value(problem, x + 1j * e) - value(problem, x - 1j * e)) / (2 * h)
             # objective differential is 2 Re tr(G^H dX)
             g[i, j] = (d_re + 1j * d_im) / 2.0
     return g
@@ -77,7 +82,7 @@ def test_gradients_match_finite_differences():
     gen = helpers.rng(0)
     for problem in all_problems(1):
         x = helpers.crandn(gen, *problem.shape)
-        got = problem.gradient(np.stack([x]))[0]
+        got = gradient_at(problem, x[None])[0]
         want = finite_diff_gradient(problem, x)
         assert helpers.rel_err(got, want) < 1e-5
 
@@ -86,8 +91,8 @@ def test_objective_batch_matches_single():
     gen = helpers.rng(2)
     for problem in all_problems(3):
         stack = np.stack([helpers.crandn(gen, *problem.shape) for _ in range(4)])
-        batch = problem.objective(stack)
-        single = [problem.objective(stack[k : k + 1])[0] for k in range(4)]
+        batch, _ = problem.objective(stack)
+        single = [value(problem, stack[k]) for k in range(4)]
         assert np.allclose(batch, single, rtol=1e-12)
 
 
@@ -98,7 +103,7 @@ def test_oracle_with_planted_optimum_has_zero_gap():
     d = design_trace_min(m, op)
     problem = trace_problem(m, op)
     # the design precoder, scored through the oracle's objective, is the best candidate
-    planted = problem.objective(d.precoder)[0]
+    planted = value(problem, d.precoder)
     found = min(random_search_oracle(problem, budget=1, seed=0, refinements=0), planted)
     assert abs(found - d.objective_value) < 1e-10 * max(1.0, d.objective_value)
 
@@ -114,16 +119,27 @@ def test_oracle_refinement_cannot_beat_optimum():
     assert found <= d.objective_value + 0.5  # refinement should get close
 
 
-def test_descent_is_monotone_and_feasible():
+def test_descent_is_monotone_and_feasible(monkeypatch):
+    monkeypatch.setattr(baselines, "_MAX_ITER", 100)
     gen = helpers.rng(6)
     for problem in all_problems(7):
         starts = np.stack([helpers.crandn(gen, *problem.shape) for _ in range(5)])
         scale = np.sqrt(problem.power / problem.power_of(starts))
         starts = starts * scale[:, None, None]
-        before = problem.objective(starts)
-        values, points = projected_gradient_descent(problem, starts, max_iter=100)
+        before, _ = problem.objective(starts)
+        values, points = projected_gradient_descent(problem, starts)
         assert np.all(values <= before + 1e-12)
         assert np.all(problem.power_of(points) <= problem.power * (1.0 + 1e-9))
+
+
+def test_descent_takes_only_a_stack_of_the_problems_shape():
+    gen = helpers.rng(24)
+    problem = trace_problem(helpers.random_system(gen, 3, 4, 2, 4.0), helpers.random_operator(gen, 2, 3))
+    start = _feasible_starts(problem, gen, 1)
+    with pytest.raises(ShapeError):
+        projected_gradient_descent(problem, start[0])
+    with pytest.raises(ShapeError):
+        projected_gradient_descent(problem, start.transpose(0, 2, 1))
 
 
 def test_oracle_matches_scalar_closed_form():
@@ -149,7 +165,8 @@ def _feasible_starts(problem, gen, count):
 
 
 @pytest.mark.parametrize("max_iter", [100, 500])
-def test_live_set_descent_matches_masked_reference_bitwise(max_iter):
+def test_live_set_descent_matches_masked_reference_bitwise(monkeypatch, max_iter):
+    monkeypatch.setattr(baselines, "_MAX_ITER", max_iter)
     gen = helpers.rng(10)
     # Bitwise equality needs each row's value to be independent of the batch
     # it is scored in.  numpy multiplies a one-row operand through gemv or dot
@@ -162,12 +179,12 @@ def test_live_set_descent_matches_masked_reference_bitwise(max_iter):
         starts = np.concatenate([_feasible_starts(problem, gen, 8), converged])
         scored = []
 
-        def counting_objective(x, **kwargs):
+        def counting_objective(x):
             scored.append(x.shape[0])
-            return problem.objective(x, **kwargs)
+            return problem.objective(x)
 
         counted = dataclasses.replace(problem, objective=counting_objective)
-        values, points = projected_gradient_descent(counted, starts, max_iter=max_iter)
+        values, points = projected_gradient_descent(counted, starts)
         want_values, want_points = helpers.masked_pgd_reference(problem, starts, max_iter=max_iter)
         assert np.array_equal(values, want_values)
         assert np.array_equal(points, want_points)
@@ -185,13 +202,13 @@ def test_a_settled_start_leaves_the_live_set():
     starts = np.concatenate([optimum[None], _feasible_starts(problem, gen, 4)])
     near_optimum, scored = [], []
 
-    def counting_objective(x, **kwargs):
+    def counting_objective(x):
         # the random starts settle on other points of the optimal set (other
         # column phases), so a row this close to the design is its own start
         dist = np.linalg.norm(x - optimum, axis=(1, 2))
         near_optimum.append(bool(np.any(dist <= 1e-6 * np.linalg.norm(optimum))))
-        out = problem.objective(x, **kwargs)
-        scored.append(out[0] if kwargs.get("with_state") else out)
+        out = problem.objective(x)
+        scored.append(out[0])
         return out
 
     counted = dataclasses.replace(problem, objective=counting_objective)
@@ -215,27 +232,28 @@ def test_a_zero_move_is_rejected():
     starts = 0.5 * _feasible_starts(problem, gen, 4)
     calls = []
 
-    def drifting_objective(x, with_state=False):
+    def drifting_objective(x):
         # each re-score of the same point reads one ulp lower, as batch rounding can
-        values, state = problem.objective(x, with_state=True)
+        values, state = problem.objective(x)
         for _ in calls:
             values = np.nextafter(values, -np.inf)
         calls.append(x.shape[0])
-        return (values, state) if with_state else values
+        return values, state
 
+    # the state (K F, Phi) leads with a stack of the precoder's shape
     flat = dataclasses.replace(
-        problem, objective=drifting_objective, gradient=lambda x, state=None: np.zeros_like(x)
+        problem, objective=drifting_objective, gradient=lambda kf, phi: np.zeros_like(kf)
     )
     values, points = projected_gradient_descent(flat, starts)
     assert len(calls) > 1
     assert np.array_equal(points, starts)
-    assert np.array_equal(values, problem.objective(starts))
+    assert np.array_equal(values, problem.objective(starts)[0])
 
 
 def _oracle_with_and_without_value_rule(monkeypatch, problems):
     """Oracle values of (problem, seed) pairs with the live-set descent, then
     with the masked reference and no value rule, every start running
-    `max_iter` iterations (budget 300, 20 refinements)."""
+    500 iterations (budget 300, 20 refinements)."""
 
     def values():
         return np.array([random_search_oracle(p, budget=300, seed=s, refinements=20) for p, s in problems])
@@ -296,7 +314,7 @@ def test_search_gradient_matches_central_differences():
         y = 0.7 * _feasible_starts(problem, gen, 3)
         power = problem.power_of(y)
         np.testing.assert_allclose(power, np.sum(np.conj(y) * (y @ gram), axis=(1, 2)).real, rtol=1e-12)
-        got = baselines._search_gradient(problem, y, power, problem.gradient(on_sphere(y)))
+        got = baselines._search_gradient(problem, y, power, gradient_at(problem, on_sphere(y)))
         scale_free = dataclasses.replace(problem, objective=lambda v: problem.objective(on_sphere(v)))
         for yi, gi in zip(y, got):
             assert helpers.rel_err(gi, finite_diff_gradient(scale_free, yi)) < 1e-5
@@ -357,12 +375,10 @@ def test_gradient_from_objective_state_is_exact():
     gen = helpers.rng(12)
     for problem in all_problems(13):
         x = _feasible_starts(problem, gen, 6)
-        values, state = problem.objective(x, with_state=True)
-        assert np.array_equal(values, problem.objective(x))
-        assert np.array_equal(problem.gradient(x, state), problem.gradient(x))
+        _, state = problem.objective(x)
         mask = np.array([True, False, True, True, False, True])
         sliced = tuple(s[mask] for s in state)
-        assert np.array_equal(problem.gradient(x[mask], sliced), problem.gradient(x[mask]))
+        assert np.array_equal(problem.gradient(*sliced), gradient_at(problem, x[mask]))
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -389,9 +405,9 @@ def test_objectives_match_model_layer(case):
         psis = [psi_of(xi) for xi in x]
         want_trace = [np.real(np.trace(psi)) for psi in psis]
         want_logdet = [np.linalg.slogdet(psi)[1] for psi in psis]
-        np.testing.assert_allclose(trace_p.objective(x), want_trace, rtol=1e-12)
+        np.testing.assert_allclose(trace_p.objective(x)[0], want_trace, rtol=1e-12)
         # log det is compared on the scale max(1, |v|), as it may be near 0
-        np.testing.assert_allclose(logdet_p.objective(x), want_logdet, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(logdet_p.objective(x)[0], want_logdet, rtol=1e-12, atol=1e-12)
         for problem in (trace_p, logdet_p):
             np.testing.assert_allclose(problem.power_of(x), [power(xi) for xi in x], rtol=1e-12)
 
