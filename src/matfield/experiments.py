@@ -2,8 +2,8 @@
 
 Every mode is a per-trial function (cfg, trial) -> record paired with an
 aggregate of the records; run() loops over the trials and returns a
-JSON-serializable report with one record per trial, the tolerances actually
-applied, and a single overall pass flag.
+JSON-serializable report with one record per trial, the fixed tolerances,
+and a single overall pass flag.
 Reports are deterministic for a fixed config except for the wall-time entry.
 
 Sub-stream layout: component c of trial t uses derive_seed(seed, t, c) with
@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import sys
 import time
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -74,6 +74,9 @@ DEFAULT_TOLERANCES = {
     "kkt_rel": 1e-8,
 }
 
+# the largest dims entry, and the largest dimension of an explicit instance's matrices
+MAX_DIM = 64
+
 # derive_seed component tags
 TAG_INSTANCE = 0
 TAG_WEIGHTING = 1
@@ -95,7 +98,6 @@ class ExperimentConfig:
     budget: int = 2000
     refinements: int = 100
     jitter_pi: bool = False
-    tolerances: dict = field(default_factory=DEFAULT_TOLERANCES.copy)
     instance: Optional[dict] = None
 
 
@@ -139,8 +141,8 @@ def build_config(data: dict, mode: Optional[str] = None, **overrides) -> Experim
     if merged["mode"] not in MODES:
         raise ConfigError(f"mode: unknown mode {merged['mode']!r}, expected one of {MODES}")
     dims = check_dims(merged["dims"])
-    if any(d > 64 for d in dims):
-        raise ConfigError("dims: entries above 64 are not supported by the harness")
+    if any(d > MAX_DIM for d in dims):
+        raise ConfigError(f"dims: entries above {MAX_DIM} are not supported by the harness")
     if not is_real(merged["power"]):
         raise ConfigError(f"power: expected a number, got {merged['power']!r}")
     power = as_float(merged["power"])
@@ -148,9 +150,10 @@ def build_config(data: dict, mode: Optional[str] = None, **overrides) -> Experim
     if not sys.float_info.min <= power < np.inf:
         raise ConfigError(f"power: must be finite and at least {sys.float_info.min!r}, got {power!r}")
     # trials and oracle samples per trial stop at 10**6, 50000 and 500 times
-    # the defaults, so a mistyped count exits at once instead of running on
+    # the defaults, so a mistyped count exits at once instead of running on;
+    # a seed is one 64-bit word, which derive_seed would otherwise wrap
     for key, lo, hi in (("trials", 1, 10**6), ("budget", 1, 10**6), ("refinements", 0, None),
-                        ("seed", None, None)):
+                        ("seed", 0, 2**64 - 1)):
         if not is_integer(merged[key]):
             raise ConfigError(f"{key}: expected an integer, got {merged[key]!r}")
         merged[key] = int(merged[key])
@@ -158,14 +161,6 @@ def build_config(data: dict, mode: Optional[str] = None, **overrides) -> Experim
             raise ConfigError(f"{key}: must be >= {lo}")
         if hi is not None and merged[key] > hi:
             raise ConfigError(f"{key}: values above {hi} are not supported by the harness")
-    tol = merged.get("tolerances", {})
-    if not isinstance(tol, dict):
-        raise ConfigError("tolerances: expected an object of name -> value")
-    for name, value in tol.items():
-        if name not in DEFAULT_TOLERANCES:
-            raise ConfigError(f"tolerances.{name}: unknown tolerance name")
-        if not is_real(value) or not 0 < as_float(value) < np.inf:
-            raise ConfigError(f"tolerances.{name}: expected a positive finite number, got {value!r}")
     instance = merged.get("instance")
     if instance is not None and not isinstance(instance, dict):
         raise ConfigError("instance: expected an object")
@@ -173,8 +168,7 @@ def build_config(data: dict, mode: Optional[str] = None, **overrides) -> Experim
         raise ConfigError("instance: verify-inequalities draws its own matrix pairs and takes none")
     if not isinstance(merged["jitter_pi"], bool):
         raise ConfigError("jitter_pi: expected true or false")
-    tol = {**DEFAULT_TOLERANCES, **{name: float(value) for name, value in tol.items()}}
-    return ExperimentConfig(**{**merged, "dims": dims, "power": power, "tolerances": tol})
+    return ExperimentConfig(**{**merged, "dims": dims, "power": power})
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +185,7 @@ def _scalar_gap(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
-def _design_invariants(cfg, design, kind: str, power: float, power_used: float,
+def _design_invariants(design, kind: str, power: float, power_used: float,
                        gap: float) -> tuple[dict, dict]:
     """Power, KKT, ordering, scalarization and oracle-gap checks shared by design modes.
 
@@ -216,19 +210,19 @@ def _design_invariants(cfg, design, kind: str, power: float, power_used: float,
         kkt = logdet_kkt_residual(lam_obj, lam_h_modes, gains_sq, design.multiplier)
     any_active = bool(np.any(lam_obj * lam_h_modes > 0.0))
     if any_active:
-        power_ok = abs(power_used - power) <= cfg.tolerances["power_rel"] * power
+        power_ok = abs(power_used - power) <= DEFAULT_TOLERANCES["power_rel"] * power
     else:
-        power_ok = power_used <= cfg.tolerances["power_rel"] * power
+        power_ok = power_used <= DEFAULT_TOLERANCES["power_rel"] * power
     products = lam_h_modes * gains_sq
     ordering_ok = bool(np.all(np.diff(products) <= 1e-9 * max(1.0, float(products.max(initial=0.0)))))
     flags = {
         "power": bool(power_ok),
-        "kkt": bool(kkt <= cfg.tolerances["kkt_rel"]),
+        "kkt": bool(kkt <= DEFAULT_TOLERANCES["kkt_rel"]),
         "ordering": ordering_ok,
         "scalarization": bool(
-            _scalar_gap(design.objective_value, scalar) <= cfg.tolerances["scalarization"]
+            _scalar_gap(design.objective_value, scalar) <= DEFAULT_TOLERANCES["scalarization"]
         ),
-        "gap": bool(gap >= -cfg.tolerances["optimality_gap"]),
+        "gap": bool(gap >= -DEFAULT_TOLERANCES["optimality_gap"]),
     }
     detail = {
         "power_used": float(power_used),
@@ -236,6 +230,14 @@ def _design_invariants(cfg, design, kind: str, power: float, power_used: float,
         "scalarized_objective": float(scalar),
     }
     return flags, detail
+
+
+def _check_instance_size(**shapes) -> None:
+    """ConfigError naming the first instance field with a dimension above MAX_DIM."""
+    for name, shape in shapes.items():
+        if max(shape) > MAX_DIM:
+            raise ConfigError(f"instance.{name}: {'x'.join(map(str, shape))} is above the "
+                              f"harness's cap of {MAX_DIM} per dimension")
 
 
 def _record_pass(flags: dict) -> bool:
@@ -297,8 +299,10 @@ def _system_and_weighting(cfg: ExperimentConfig, trial: int):
         model = generate_system(derive_seed(cfg.seed, trial, TAG_INSTANCE), cfg.dims, cfg.power)
     else:
         model = system_from_json(cfg.instance, cfg.power)
+        _check_instance_size(H=model.channel.shape, n_streams=(model.n_streams,))
     if cfg.instance is not None and ("W" in cfg.instance or "Pi" in cfg.instance):
         op = weighting_from_json(cfg.instance)
+        _check_instance_size(W=op.weights[0].shape)
         if op.k != 1:
             raise ConfigError(f"instance.W: the closed-form designs take one factor, got {op.k}")
         if op.n_streams != model.n_streams:
@@ -317,7 +321,9 @@ def _system_and_weighting(cfg: ExperimentConfig, trial: int):
 
 def _relay(cfg: ExperimentConfig, trial: int):
     if cfg.instance is not None:
-        return relay_from_json(cfg.instance, cfg.power)
+        relay = relay_from_json(cfg.instance, cfg.power)
+        _check_instance_size(H1=relay.channel1.shape, H2=relay.channel2.shape)
+        return relay
     return generate_relay(derive_seed(cfg.seed, trial, TAG_INSTANCE), cfg.dims, cfg.power)
 
 
@@ -331,8 +337,7 @@ def _point_design(cfg: ExperimentConfig, trial: int, kind: str) -> dict:
         problem = logdet_problem(model, op)
     oracle_best = _oracle(cfg, trial, problem)
     gap = oracle_best - design.objective_value
-    flags, detail = _design_invariants(cfg, design, kind, model.power, transmit_power(design.precoder),
-                                       gap)
+    flags, detail = _design_invariants(design, kind, model.power, transmit_power(design.precoder), gap)
     return _record(trial, flags, detail, design.objective_value, oracle_best, gap, detail["power_used"])
 
 
@@ -356,8 +361,8 @@ def _relay_design(cfg: ExperimentConfig, trial: int, kind: str) -> dict:
         mapped = logdet_rs - design.objective_value
     route_gap = _scalar_gap(objective, mapped)
     power_used = relay_transmit_power(relay, fwd)
-    flags, detail = _design_invariants(cfg, design, kind, relay.power, power_used, gap)
-    flags["route_match"] = bool(route_gap <= cfg.tolerances["equivalence_rel"])
+    flags, detail = _design_invariants(design, kind, relay.power, power_used, gap)
+    flags["route_match"] = bool(route_gap <= DEFAULT_TOLERANCES["equivalence_rel"])
     detail["route_rel_gap"] = float(route_gap)
     return _record(trial, flags, detail, objective, oracle_best, gap, power_used)
 
@@ -370,8 +375,8 @@ def _verify_inequalities(cfg: ExperimentConfig, trial: int) -> dict:
     bb = sb.complex_normal(n, n)
     a = symmetrize(ba.conj().T @ ba)
     b = symmetrize(bb.conj().T @ bb)
-    bound1, holds1 = trace_product_lower_bound(a, b, cfg.tolerances["inequality_slack"])
-    bound2, holds2 = det_sum_lower_bound(a, b, cfg.tolerances["inequality_slack"])
+    bound1, holds1 = trace_product_lower_bound(a, b, DEFAULT_TOLERANCES["inequality_slack"])
+    bound2, holds2 = det_sum_lower_bound(a, b, DEFAULT_TOLERANCES["inequality_slack"])
     # equality constructions: shared eigenvectors, reversed order for the
     # trace bound, aligned order for the determinant bound
     evd_a = ordered_evd(a)
@@ -386,8 +391,8 @@ def _verify_inequalities(cfg: ExperimentConfig, trial: int) -> dict:
     flags = {
         "trace_bound": bool(holds1),
         "det_bound": bool(holds2),
-        "trace_equality": bool(eq1_gap <= cfg.tolerances["equality_rel"]),
-        "det_equality": bool(eq2_gap <= cfg.tolerances["equality_rel"]),
+        "trace_equality": bool(eq1_gap <= DEFAULT_TOLERANCES["equality_rel"]),
+        "det_equality": bool(eq2_gap <= DEFAULT_TOLERANCES["equality_rel"]),
     }
     detail = {
         "trace_bound": bound1,
@@ -429,11 +434,11 @@ def _verify_equivalence(cfg: ExperimentConfig, trial: int) -> dict:
     e2e_rel = _rel_gap(psi_relay, e2e)
 
     flags = {
-        "route_match": bool(route_rel <= cfg.tolerances["equivalence_rel"]),
-        "pi_identity": bool(pi_identity <= cfg.tolerances["two_route_rel"]),
-        "power_bijection": bool(power_gap <= cfg.tolerances["power_rel"]),
-        "capacity_two_route": bool(cap_gap <= cfg.tolerances["equivalence_rel"]),
-        "end_to_end_lmmse": bool(e2e_rel <= cfg.tolerances["equivalence_rel"]),
+        "route_match": bool(route_rel <= DEFAULT_TOLERANCES["equivalence_rel"]),
+        "pi_identity": bool(pi_identity <= DEFAULT_TOLERANCES["two_route_rel"]),
+        "power_bijection": bool(power_gap <= DEFAULT_TOLERANCES["power_rel"]),
+        "capacity_two_route": bool(cap_gap <= DEFAULT_TOLERANCES["equivalence_rel"]),
+        "end_to_end_lmmse": bool(e2e_rel <= DEFAULT_TOLERANCES["equivalence_rel"]),
     }
     detail = {
         "route_rel_gap": route_rel,
@@ -507,7 +512,7 @@ def run(cfg: ExperimentConfig) -> dict:
             "jitter_pi": cfg.jitter_pi,
             "explicit_instance": cfg.instance is not None,
         },
-        "tolerances": dict(cfg.tolerances),
+        "tolerances": dict(DEFAULT_TOLERANCES),
         "trials": records,
         "aggregate": aggregate,
         "pass": failures == 0,

@@ -65,9 +65,9 @@ def test_flag_overrides_beat_config_file(tmp_path, capsys):
     assert "trials=5" in out and "seed=2" in out
 
 
-def test_invariant_failure_exits_one(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"tolerances": {"equivalence_rel": 1e-300}})
-    assert main(["verify-equivalence", "--config", cfg, "--trials", "3", "--seed", "2"]) == 1
+def test_invariant_failure_exits_one(capsys, monkeypatch):
+    monkeypatch.setitem(matfield.experiments.DEFAULT_TOLERANCES, "equivalence_rel", 1e-300)
+    assert main(["verify-equivalence", "--trials", "3", "--seed", "2"]) == 1
     assert "FAIL" in capsys.readouterr().out
 
 
@@ -108,6 +108,10 @@ def test_unknown_field_exits_two(tmp_path, capsys):
     cfg = write_config(tmp_path, {"wat": 1})
     assert main(["design-det", "--config", cfg]) == 2
     assert "wat" in capsys.readouterr().err
+    # the tolerances are fixed in the code
+    cfg = write_config(tmp_path, {"tolerances": {"optimality_gap": 1.0}})
+    assert main(["design-det", "--config", cfg]) == 2
+    assert capsys.readouterr().err == "config error: unknown config field 'tolerances'\n"
 
 
 @pytest.mark.parametrize(
@@ -133,6 +137,9 @@ def test_unknown_field_exits_two(tmp_path, capsys):
         # the trials cap, 10**6 trials
         pytest.param("trials", 10**400, id="trials-huge"),
         pytest.param("trials", 10**6 + 1, id="trials-over-cap"),
+        # a seed is one 64-bit word
+        pytest.param("seed", -1, id="seed-negative"),
+        pytest.param("seed", 2**64, id="seed-over-64-bits"),
     ],
 )
 def test_non_integral_or_boolean_number_exits_two(tmp_path, capsys, field, value):
@@ -258,6 +265,14 @@ POINT = {"H": ONE, "R_n": ONE, "W": ONE, "Pi": ONE}
 RELAY = {"H1": ONE, "H2": ONE, "R_s": ONE, "R_n1": ONE, "R_n2": ONE}
 
 
+def _row(width):
+    return [[[1.0, 0.0]] * width]
+
+
+def _eye(n):
+    return [[[float(i == j), 0.0] for j in range(n)] for i in range(n)]
+
+
 @pytest.mark.parametrize(
     "mode, instance, field",
     [
@@ -286,6 +301,11 @@ RELAY = {"H1": ONE, "H2": ONE, "R_s": ONE, "R_n1": ONE, "R_n2": ONE}
         ("design-trace", {"H": EYE2, "R_n": EYE2, "Pi": EYE2}, "instance.W: missing"),
         ("design-det", {"H": EYE2, "R_n": EYE2, "Pi": EYE2}, "instance.W: missing"),
         ("design-trace", {"H": EYE2, "R_n": EYE2, "W": EYE2}, "instance.Pi: missing"),
+        # one past the 64-per-dimension cap
+        ("design-trace", {**POINT, "H": [ONE[0]] * 65, "R_n": _eye(65)}, "instance.H: 65x1 "),
+        ("design-det", {**POINT, "W": _row(65), "Pi": _eye(65)}, "instance.W: 1x65 "),
+        ("relay-capacity", {**RELAY, "H1": [ONE[0]] * 65, "R_n1": _eye(65)}, "instance.H1: 65x1 "),
+        ("relay-mse", {**RELAY, "H1": _row(65), "R_s": _eye(65)}, "instance.H1: 1x65 "),
     ],
     ids=[
         "non-pd-noise",
@@ -313,6 +333,10 @@ RELAY = {"H1": ONE, "H2": ONE, "R_s": ONE, "R_n1": ONE, "R_n2": ONE}
         "lone-offset-trace",
         "lone-offset-det",
         "lone-weight",
+        "channel-rows-over-cap",
+        "weight-columns-over-cap",
+        "relay-hop-rows-over-cap",
+        "relay-hop-columns-over-cap",
     ],
 )
 def test_bad_instance_exits_two(tmp_path, capsys, mode, instance, field):
@@ -341,3 +365,37 @@ def test_verify_equivalence_runs_on_the_given_instance(tmp_path, monkeypatch):
     report = json.loads(out.read_text())
     assert report["config"]["explicit_instance"] is True
     assert report["pass"] and len(report["trials"]) == 2
+
+
+def _no_design(*args, **kwargs):
+    raise AssertionError("a design ran on an instance above the size cap")
+
+
+# 20,000-wide matrices, of which a design would take a 5.96 GiB SVD
+@pytest.mark.parametrize(
+    "mode, instance, message",
+    [
+        ("design-trace", {**POINT, "H": _row(20000), "n_streams": 1}, "instance.H: 1x20000 "),
+        ("relay-mse", {**RELAY, "H2": _row(20000)}, "instance.H2: 1x20000 "),
+        ("verify-equivalence", {**RELAY, "H2": _row(20000)}, "instance.H2: 1x20000 "),
+        ("design-det", {**POINT, "n_streams": 20000, "W": [ONE[0]] * 20000}, "instance.n_streams: 20000 "),
+    ],
+    ids=["wide-channel", "wide-relay-hop", "wide-relay-hop-equivalence", "many-streams"],
+)
+def test_instance_above_the_size_cap_exits_two(tmp_path, capsys, monkeypatch, mode, instance, message):
+    for name in ("design_trace_min", "design_det_min", "design_relay_sum_mse", "design_relay_capacity",
+                 "relay_to_weighted"):
+        monkeypatch.setattr(matfield.experiments, name, _no_design)
+    cfg = write_config(tmp_path, {"trials": 1, "budget": 1, "instance": instance})
+    assert main([mode, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}") and "cap of 64 per dimension" in err
+
+
+@pytest.mark.parametrize(
+    "mode, instance",
+    [("design-trace", {**POINT, "H": _row(64), "n_streams": 1}), ("relay-mse", {**RELAY, "H2": _row(64)})],
+)
+def test_instance_at_the_size_cap_runs(tmp_path, mode, instance):
+    cfg = write_config(tmp_path, {"trials": 1, "budget": 20, "instance": instance})
+    assert main([mode, "--config", cfg]) == 0

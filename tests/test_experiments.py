@@ -23,7 +23,11 @@ def test_build_config_defaults():
     cfg = build_config({}, mode="design-trace")
     assert cfg.mode == "design-trace"
     assert cfg.dims == (2, 2, 2, 2)
-    assert cfg.tolerances["optimality_gap"] == DEFAULT_TOLERANCES["optimality_gap"]
+    # the tolerances are fixed: no config sets them, and every report echoes the table in its order
+    with pytest.raises(ConfigError, match="^unknown config field 'tolerances'$"):
+        build_config({"tolerances": {"optimality_gap": 1.0}}, mode="design-trace")
+    echo = run(build_config({"trials": 1}, mode="verify-inequalities"))["tolerances"]
+    assert echo == DEFAULT_TOLERANCES and list(echo) == list(DEFAULT_TOLERANCES)
 
 
 def test_build_config_overrides_win():
@@ -66,21 +70,24 @@ def test_build_config_rejects_bad_input():
             build_config({"power": power}, mode="design-trace")
     with pytest.raises(ConfigError, match="trials"):
         build_config({"trials": 0}, mode="design-trace")
-    with pytest.raises(ConfigError, match="tolerances"):
-        build_config({"tolerances": {"nope": 1.0}}, mode="design-trace")
-    # names that no check reads are not settable
-    for name in ("dominance", "rotation_improvement", "classical_match", "grid_match"):
-        with pytest.raises(ConfigError, match="unknown tolerance name"):
-            build_config({"tolerances": {name: 1e-8}}, mode="design-trace")
-    # JSON true reads as 1, and Infinity would echo into the report as invalid JSON
-    # an integer too large for a float would overflow in the checks that scale it
-    for value in (-1.0, True, float("inf"), float("nan"), 10**400):
-        with pytest.raises(ConfigError, match="^tolerances.optimality_gap:"):
-            build_config({"tolerances": {"optimality_gap": value}}, mode="design-trace")
-    tol = build_config({"tolerances": {"power_rel": 1}}, mode="design-trace").tolerances
-    assert type(tol["power_rel"]) is float
+    # the tolerances are not a config field, whatever the value
+    for tol in ({}, {"optimality_gap": 1e-6}, {"nope": 1.0}, 1e-8):
+        with pytest.raises(ConfigError, match="^unknown config field 'tolerances'$"):
+            build_config({"tolerances": tol}, mode="design-trace")
     with pytest.raises(ConfigError, match="jitter_pi"):
         build_config({"jitter_pi": "yes"}, mode="design-trace")
+
+
+def test_build_config_bounds_the_seed():
+    # a seed is one 64-bit word: past either end derive_seed would wrap it onto another seed
+    for seed in (0, 2**64 - 1):
+        assert build_config({"seed": seed}, mode="design-trace").seed == seed
+    for seed in (-1, 2**64):
+        with pytest.raises(ConfigError, match="^seed:"):
+            build_config({"seed": seed}, mode="design-trace")
+        with pytest.raises(ConfigError, match="^seed:"):
+            build_config({}, mode="design-trace", seed=seed)
+    assert run(build_config({"trials": 1, "seed": 2**64 - 1}, mode="verify-inequalities"))["pass"]
 
 
 def test_build_config_does_not_truncate_numbers():
@@ -115,7 +122,7 @@ def test_all_modes_run_and_pass(mode):
     # one record per trial
     assert len(report["trials"]) == 3 == report["aggregate"]["trials"]
     assert report["mode"] == mode
-    assert report["tolerances"]  # applied tolerances are always echoed
+    assert report["tolerances"] == DEFAULT_TOLERANCES  # the fixed tolerances are always echoed
     # renderings never crash and mention the mode
     assert mode in render_table(report)
     csv = render_csv(report)
@@ -237,14 +244,12 @@ def test_retired_mode_is_a_config_error(mode):
     assert str(MODES) in str(exc.value) and len(MODES) == 6
 
 
-def test_tolerance_override_is_echoed_and_enforced():
-    cfg = build_config(
-        {"trials": 2, "seed": 6, "tolerances": {"equivalence_rel": 1e-300}},
-        mode="verify-equivalence",
-    )
-    report = run(cfg)
+def test_tolerance_override_is_echoed_and_enforced(monkeypatch):
+    # the checks read the table itself, so a patched entry is enforced and echoed
+    monkeypatch.setitem(DEFAULT_TOLERANCES, "equivalence_rel", 1e-300)
+    report = run(build_config({"trials": 2, "seed": 6}, mode="verify-equivalence"))
     assert report["tolerances"]["equivalence_rel"] == 1e-300
-    assert list(report["tolerances"]) == list(DEFAULT_TOLERANCES)  # the override keeps its place
+    assert list(report["tolerances"]) == list(DEFAULT_TOLERANCES)  # the entry keeps its place
     assert not report["pass"]  # float roundoff exceeds an impossible tolerance
 
 
@@ -329,8 +334,8 @@ def scaled_noise_instance(mode, scale):
 
 
 def assert_report_passes(report):
-    # the report holds at the default power_rel = 1e-9 and kkt_rel = 1e-8
-    assert report["tolerances"]["power_rel"] == 1e-9 and report["tolerances"]["kkt_rel"] == 1e-8
+    # the report holds at the fixed tolerances
+    assert report["tolerances"] == DEFAULT_TOLERANCES
     for rec in report["trials"]:
         assert all(rec["invariant_pass"].values()), rec
     assert report["pass"]

@@ -11,10 +11,16 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matfield import logdet_kkt_residual, trace_kkt_residual, waterfill_logdet, waterfill_trace
+from matfield import (
+    DEFAULT_TOLERANCES,
+    logdet_kkt_residual,
+    trace_kkt_residual,
+    waterfill_logdet,
+    waterfill_trace,
+)
 
-POWER_REL = 1e-9  # DEFAULT_TOLERANCES["power_rel"]
-KKT_REL = 1e-8  # DEFAULT_TOLERANCES["kkt_rel"]
+POWER_REL = DEFAULT_TOLERANCES["power_rel"]
+KKT_REL = DEFAULT_TOLERANCES["kkt_rel"]
 
 magnitude = st.one_of(st.just(0.0), st.floats(-8.0, 8.0).map(lambda e: 10.0**e))
 
